@@ -544,8 +544,7 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
                         agg = r.status;
                     } else {
                         if (r.version != 0)
-                            f.version.store(r.version,
-                                            std::memory_order_relaxed);
+                            f.noteWriteVersion(r.version);
                         f.needsFsync.store(true,
                                            std::memory_order_release);
                     }
@@ -560,12 +559,17 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
         return max_done;
     }
 
+    // Send a copy, never the frame: gmsync(ctx, ptr) writes back a
+    // page its caller still maps, so writers cannot be fenced off as
+    // eviction and the per-page sync do, and the journal record and
+    // the in-place write must both see the bytes of one instant.
+    std::vector<uint8_t> snap(data + lo, data + hi);
     rpc::RpcRequest req;
     req.op = rpc::RpcOp::WriteBack;
     req.hostFd = f.hostFd;
     req.offset = page_idx * params_.pageSize + lo;
     req.len = hi - lo;
-    req.data = const_cast<uint8_t *>(data) + lo;
+    req.data = snap.data();
     req.diffAgainstZeros = f.wronce;
     req.gpuId = dev.id();
     req.issueTime = issue;
@@ -578,7 +582,7 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
         if (resp.version != 0) {
             // Track the version our own write produced so reopen does
             // not mistake it for a remote modification.
-            f.version.store(resp.version, std::memory_order_relaxed);
+            f.noteWriteVersion(resp.version);
         }
         f.needsFsync.store(true, std::memory_order_release);
     }
@@ -619,7 +623,7 @@ BufferCache::writeExtentsRpc(CacheFile &f, const WriteExtent *ext,
     if (resp.version != 0) {
         // Track the version our own write produced so reopen does not
         // mistake it for a remote modification.
-        f.version.store(resp.version, std::memory_order_relaxed);
+        f.noteWriteVersion(resp.version);
     }
     f.needsFsync.store(true, std::memory_order_release);
     return Status::Ok;
@@ -667,7 +671,7 @@ BufferCache::peerWriteExtentsRpc(CacheFile &f, unsigned owner_gpu,
     if (resp.version != 0) {
         // The host write-through bumped the version; track it so
         // reopen does not mistake our own write for a remote one.
-        f.version.store(resp.version, std::memory_order_relaxed);
+        f.noteWriteVersion(resp.version);
     }
     f.needsFsync.store(true, std::memory_order_release);
     return Status::Ok;
@@ -683,8 +687,7 @@ BufferCache::writeBatchSharded(CacheFile &f, const DirtyExtent *ext,
     WriteExtent w[rpc::kMaxBatchPages];
     for (unsigned i = 0; i < n; ++i) {
         w[i] = {ext[i].pageIdx * params_.pageSize + ext[i].lo,
-                ext[i].hi - ext[i].lo,
-                arena_.data(ext[i].frame) + ext[i].lo};
+                ext[i].hi - ext[i].lo, ext[i].data};
     }
     if (!shardedFile(f)) {
         Time done = issue;
@@ -799,12 +802,14 @@ BufferCache::flushDirty(gpu::BlockCtx &ctx, CacheFile &f,
     // a concurrent writer cannot keep this loop alive forever; callers
     // may bound it further via max_pages.
     uint64_t budget = std::min(f.cache->dirtyCount(), max_pages);
+    std::vector<uint8_t> stage;
     while (budget > 0) {
         DirtyExtent ext[rpc::kMaxBatchPages];
         unsigned n = f.cache->takeDirtyBatch(
             first_page, last_page, ext,
             static_cast<unsigned>(
-                std::min<uint64_t>(budget, rpc::kMaxBatchPages)));
+                std::min<uint64_t>(budget, rpc::kMaxBatchPages)),
+            stage);
         if (n == 0)
             break;
         budget -= std::min<uint64_t>(budget, n);
@@ -914,12 +919,17 @@ BufferCache::submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
     bool stop = false;
     while (!stop && nb < max_batches && budget > 0) {
         DirtyExtent take[rpc::kMaxBatchPages];
+        std::vector<uint8_t> taken;
         unsigned n = f.cache->takeDirtyBatch(
             first_page, last_page, take,
             static_cast<unsigned>(
-                std::min<uint64_t>(budget, rpc::kMaxBatchPages)));
+                std::min<uint64_t>(budget, rpc::kMaxBatchPages)),
+            taken);
         if (n == 0)
             break;
+        // Moving keeps the buffer, so the extents' data pointers hold.
+        auto stage =
+            std::make_shared<const std::vector<uint8_t>>(std::move(taken));
         budget -= std::min<uint64_t>(budget, n);
 
         // Partition the take by page owner, exactly like the wait-time
@@ -963,6 +973,7 @@ BufferCache::submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
                     used[j] = true;
                 }
             }
+            pf.stage = stage;
             pf.zeroDiff = f.wronce;
             pf.peer = owner != dev.id();
             pf.peerGpu = owner;
@@ -985,8 +996,7 @@ BufferCache::submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
             }
             uint64_t total = 0;
             for (unsigned k = 0; k < pf.n; ++k) {
-                req.batch[k] =
-                    arena_.data(pf.ext[k].frame) + pf.ext[k].lo;
+                req.batch[k] = const_cast<uint8_t *>(pf.ext[k].data);
                 req.batchOff[k] =
                     pf.ext[k].pageIdx * page_size + pf.ext[k].lo;
                 req.batchLen[k] = pf.ext[k].hi - pf.ext[k].lo;
@@ -1046,9 +1056,10 @@ BufferCache::completeFlush(CacheFile &f, PendingFlush &pf,
     // Restore failed extents BEFORE dropping the in-flight mark so the
     // file never reads clean while its dirty data is in limbo.
     f.cache->finishDirtyBatch(pf.ext, pf.n, /*restore=*/!ok(resp.status));
+    pf.stage.reset();
     if (ok(resp.status)) {
         if (resp.version != 0)
-            f.version.store(resp.version, std::memory_order_relaxed);
+            f.noteWriteVersion(resp.version);
         f.needsFsync.store(true, std::memory_order_release);
     }
     f.wbInFlight.fetch_sub(1);

@@ -97,6 +97,25 @@ struct CacheFile {
      *  modifications (§4.4). */
     std::atomic<uint64_t> version{0};
 
+    /**
+     * Advance version to @p v, the host version one of the cache's own
+     * write-backs produced. Write-backs of one file complete on several
+     * threads (a block's sync, another block's eviction, the flusher)
+     * and their stores can land out of order; a plain store could then
+     * leave an older version behind, and the next gopen would drop the
+     * cache — dirty pages included — as remotely modified. Host
+     * versions only grow, so the largest one wins.
+     */
+    void
+    noteWriteVersion(uint64_t v)
+    {
+        uint64_t cur = version.load(std::memory_order_relaxed);
+        while (cur < v &&
+               !version.compare_exchange_weak(cur, v,
+                                              std::memory_order_relaxed)) {
+        }
+    }
+
     // Policy booleans. Atomic because the API layer rewrites them on
     // (re)open under its table lock while reclamation reads them under
     // the paging lock only — eviction tolerates a momentarily stale
@@ -256,6 +275,10 @@ struct PendingFlush {
     bool peer = false;
     unsigned peerGpu = 0;
     DirtyExtent ext[rpc::kMaxBatchPages];
+    /** The take's staged bytes (ext[i].data points into it), shared by
+     *  every partition of one take; the RPC reads them until
+     *  completeFlush. */
+    std::shared_ptr<const std::vector<uint8_t>> stage;
 };
 
 class BufferCache

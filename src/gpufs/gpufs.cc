@@ -232,11 +232,24 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
         // unretired async tokens still resolve through this cache,
         // leave the entry parked instead — the drained-collection
         // sweeps destroy it once they retire (its opInFlight guard).
+        // Dirty pages are writes the host has never seen: push them
+        // home first, as allocEntryLocked does. A mismatch need not be
+        // a remote write — one of this cache's own write-backs (say, an
+        // eviction on another block) may have reached the host before
+        // the Open without having stored its version yet.
         cntInvalidations.inc();
-        if (e.cf.opInFlight.load(std::memory_order_acquire) == 0)
+        if (e.cf.opInFlight.load(std::memory_order_acquire) == 0) {
+            if (e.cf.cache && e.cf.cache->dirtyCount() > 0 &&
+                !e.nosync()) {
+                Status wb_st = bc_.flushDirty(ctx, e.cf);
+                if (!ok(wb_st))
+                    gpufs_warn("write-back failed dropping stale "
+                               "cache: %s", statusName(wb_st));
+            }
             destroyEntryLocked(ctx, e);
-        else
+        } else {
             cidx = -1;
+        }
     }
 
     int nidx = cidx >= 0 ? cidx : allocEntryLocked(ctx);

@@ -275,8 +275,10 @@ FileCache::tryAdoptPage(uint64_t page_idx, const uint8_t *src,
 
 unsigned
 FileCache::takeDirtyBatch(uint64_t first_page, uint64_t last_page,
-                          DirtyExtent *out, unsigned max_n)
+                          DirtyExtent *out, unsigned max_n,
+                          std::vector<uint8_t> &stage)
 {
+    stage.clear();
     unsigned n = 0;
     for (RadixNode *nd = fifoTail.load(std::memory_order_acquire);
          nd != nullptr && n < max_n;
@@ -304,19 +306,41 @@ FileCache::takeDirtyBatch(uint64_t first_page, uint64_t last_page,
                 p.lock.unlock();
                 continue;
             }
+            // Fence off writers for the take and the copy (Dekker
+            // handshake with tryPinReady, as in tryEvictPage): a pinner
+            // that raced past the refs check above makes us skip the
+            // page; one arriving now sees a non-Ready page and backs
+            // off to the locked slow path.
+            p.state.store(kPageEvicting, std::memory_order_seq_cst);
+            if (p.refs.load(std::memory_order_seq_cst) != 0) {
+                p.state.store(kPageReady, std::memory_order_release);
+                p.lock.unlock();
+                continue;
+            }
             f = p.frame.load(std::memory_order_acquire);
             PFrame &pf = arena.frame(f);
-            // Atomically TAKE the extent: ranges merged by concurrent
-            // (lock-free) writers after this point form a fresh extent
-            // synced by a later pass, so no dirty byte is ever lost.
+            // Atomically TAKE the extent: ranges merged by writers
+            // after the page is Ready again form a fresh extent synced
+            // by a later pass, so no dirty byte is ever lost.
             uint64_t e = takeDirtyCounted(pf);
             uint32_t lo = PFrame::extentLo(e);
             uint32_t hi = PFrame::extentHi(e);
             if (lo >= hi) {
+                p.state.store(kPageReady, std::memory_order_release);
                 p.lock.unlock();
                 continue;
             }
-            out[n++] = {&p, idx, f, lo, hi};
+            // Room for max_n whole pages before the first copy: later
+            // copies never reallocate, so earlier extents' data
+            // pointers stay valid. A take that finds nothing allocates
+            // nothing.
+            if (n == 0)
+                stage.reserve(uint64_t(max_n) * arena.pageSize());
+            const uint8_t *src = arena.data(f);
+            const size_t at = stage.size();
+            stage.insert(stage.end(), src + lo, src + hi);
+            p.state.store(kPageReady, std::memory_order_release);
+            out[n++] = {&p, idx, f, lo, hi, stage.data() + at};
         }
     }
     return n;
@@ -344,12 +368,14 @@ FileCache::awaitWritebacks(uint64_t first_page, uint64_t last_page)
             if (idx < first_page || idx >= last_page)
                 continue;
             FPage &p = nd->pages[i];
-            if (p.state.load(std::memory_order_acquire) != kPageReady)
+            uint32_t s = p.state.load(std::memory_order_acquire);
+            if (s != kPageReady && s != kPageEvicting)
                 continue;
             // A collector holds the fpage lock from before it takes
-            // the extent until its write-back RPC completes, so a
-            // brief acquire is the completion barrier. One atomic RMW
-            // pair per resident page, once per sync — not per batch.
+            // the extent until its write-back RPC completes (evicting
+            // and mid-take pages included), so a brief acquire is the
+            // completion barrier. One atomic RMW pair per resident
+            // page, once per sync — not per batch.
             p.lock.lock();
             p.lock.unlock();
         }

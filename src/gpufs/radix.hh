@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <type_traits>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/stats.hh"
@@ -54,7 +55,8 @@ enum PageState : uint32_t {
     kPageEmpty = 0,      ///< no frame attached
     kPageInit = 1,       ///< frame being filled (RPC in flight)
     kPageReady = 2,      ///< frame valid; pinnable
-    kPageEvicting = 3,   ///< paging out; pinners must back off
+    kPageEvicting = 3,   ///< paging out or staging a write-back copy;
+                         ///< pinners must back off
 };
 
 /** Per-page bookkeeping, stored by value inside leaf nodes. */
@@ -111,13 +113,15 @@ struct BatchSlot {
 
 /** One dirty page extent taken by takeDirtyBatch (fpage held LOCKED
  *  until finishDirtyBatch): the page's dirty byte range [lo, hi)
- *  backed by @p frame. */
+ *  backed by @p frame, and @p data, a copy of those bytes taken while
+ *  no writer held the page — what the write-back RPC sends. */
 struct DirtyExtent {
     FPage *page;
     uint64_t pageIdx;
     uint32_t frame;
     uint32_t lo;
     uint32_t hi;
+    const uint8_t *data;
 };
 
 /**
@@ -384,7 +388,8 @@ class FileCache
     }
 
     /**
-     * Visit every dirty, unpinned page: lock it, call @p visit with
+     * Visit every dirty, unpinned page: lock it, fence off pinners
+     * (state Evicting, as in tryEvictPage), call @p visit with
      * (page_idx, data, dirty_lo, dirty_hi); if visit returns true the
      * page was written back and its dirty extent is cleared, false
      * leaves it dirty (range-filtered gfsync). Visitors returning
@@ -409,6 +414,23 @@ class FileCache
                     continue;   // concurrently accessed: skip (API: gfsync)
                 SpinGuard guard(p.lock);
                 if (p.state.load(std::memory_order_acquire) != kPageReady)
+                    continue;
+                // Fence off writers for the take and the visit, as
+                // tryEvictPage does, so the write-back reads bytes no
+                // writer is changing: a pinner that raced past the refs
+                // check above makes us skip the page; one arriving now
+                // backs off to the locked slow path. Ready again before
+                // the guard above unlocks.
+                p.state.store(kPageEvicting, std::memory_order_seq_cst);
+                struct ReadyAgain {
+                    FPage &page;
+                    ~ReadyAgain()
+                    {
+                        page.state.store(kPageReady,
+                                         std::memory_order_release);
+                    }
+                } ready_again{p};
+                if (p.refs.load(std::memory_order_seq_cst) != 0)
                     continue;
                 f = p.frame.load(std::memory_order_acquire);
                 PFrame &pf = arena.frame(f);
@@ -458,9 +480,17 @@ class FileCache
      * are skipped here; durability callers run awaitWritebacks once
      * after their take loop to wait those RPCs out. App-pinned pages
      * (refs != 0) are skipped, gfsync's "not concurrently accessed"
-     * contract; lock-free readers/writers of Ready pages are NOT
-     * blocked by the held lock (writes landing mid-RPC form a fresh
-     * extent a later sync picks up).
+     * contract.
+     *
+     * Each extent's bytes are copied into @p stage (DirtyExtent::data)
+     * at the take, with pinners fenced off by the same state/refs
+     * handshake tryEvictPage uses, so the RPC (journal checksum and
+     * in-place write alike) reads one stable snapshot, never a frame a
+     * writer is filling. The page is Ready again before the next page
+     * is taken: lock-free readers/writers are NOT blocked while the
+     * RPC is in flight (writes landing then form a fresh extent a
+     * later sync picks up). @p stage is cleared and must stay alive,
+     * unmodified, until finishDirtyBatch.
      *
      * Locks are acquired in leaf-FIFO walk order, the one total order
      * every batching caller uses, so concurrent collectors cannot
@@ -469,7 +499,8 @@ class FileCache
      * finishDirtyBatch. @return extents collected (may be 0).
      */
     unsigned takeDirtyBatch(uint64_t first_page, uint64_t last_page,
-                            DirtyExtent *out, unsigned max_n);
+                            DirtyExtent *out, unsigned max_n,
+                            std::vector<uint8_t> &stage);
 
     /**
      * Release a takeDirtyBatch batch. When @p restore, each extent is

@@ -15,11 +15,13 @@
 #ifndef GPUFS_HOSTFS_CONTENT_HH
 #define GPUFS_HOSTFS_CONTENT_HH
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "base/rng.hh"
@@ -49,13 +51,19 @@ class ContentProvider
     virtual bool writable() const = 0;
 };
 
-/** Heap-backed content, growable; used for all writable files. */
+/**
+ * Heap-backed content, growable; used for all writable files. Bytes
+ * live in chunks of up to kChunk bytes, each holding only as much as
+ * has been written inside it: a 4 KiB file costs 4 KiB, growth copies
+ * at most one chunk, never what is already stored (the daemon's
+ * journal grows to GBs), and never-written ranges read as zeros
+ * without holding memory.
+ */
 class InMemoryContent : public ContentProvider
 {
   public:
     InMemoryContent() = default;
-    explicit InMemoryContent(std::vector<uint8_t> initial)
-        : bytes(std::move(initial)) {}
+    explicit InMemoryContent(const std::vector<uint8_t> &initial);
 
     void readAt(uint64_t offset, uint64_t len, uint8_t *dst) override;
     bool writeAt(uint64_t offset, uint64_t len, const uint8_t *src) override;
@@ -64,9 +72,20 @@ class InMemoryContent : public ContentProvider
     /** Drop bytes beyond @p new_size (ftruncate shrink path). */
     void truncate(uint64_t new_size);
 
+    /** Bytes of heap the stored chunks hold (their capacities). */
+    uint64_t footprintBytes();
+
+    /** Most bytes one storage chunk holds. */
+    static constexpr uint64_t kChunk = 1 << 20;
+
   private:
     std::mutex mtx;
-    std::vector<uint8_t> bytes;
+    uint64_t size_ = 0;
+    /** chunks[i] backs the start of [i * kChunk, (i + 1) * kChunk);
+     *  bytes past its size read as zeros. */
+    std::vector<std::vector<uint8_t>> chunks;
+
+    void writeLocked(uint64_t offset, uint64_t len, const uint8_t *src);
 };
 
 /**
@@ -100,11 +119,12 @@ class SyntheticContent : public ContentProvider
     Generator generate;
     bool allowOverlay;
     std::mutex mtx;
-    // Sparse overlay: 64 KiB chunks that have been written.
+    // Sparse overlay: 64 KiB chunks that have been written, by index.
     static constexpr uint64_t kOverlayChunk = 64 * 1024;
-    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> overlay;
-
-    std::vector<uint8_t> *findChunkLocked(uint64_t chunk_base);
+    std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> overlay;
+    /** Set (under mtx) by the first overlay write; until then readAt
+     *  generates without taking the lock. */
+    std::atomic<bool> written{false};
 };
 
 } // namespace hostfs

@@ -14,10 +14,18 @@ namespace hostfs {
 uint64_t
 journalChecksum(const uint8_t *data, uint64_t len)
 {
+    constexpr uint64_t kPrime = 0x100000001b3ull;
     uint64_t h = 0xcbf29ce484222325ull;
-    for (uint64_t i = 0; i < len; ++i) {
+    uint64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        uint64_t w;
+        std::memcpy(&w, data + i, 8);
+        h ^= w;
+        h *= kPrime;
+    }
+    for (; i < len; ++i) {
         h ^= data[i];
-        h *= 0x100000001b3ull;
+        h *= kPrime;
     }
     return h;
 }
@@ -70,8 +78,15 @@ WriteJournal::append(uint64_t ino, const WriteRun *runs, unsigned n,
     std::lock_guard<std::mutex> lk(mtx_);
     const uint64_t txn = nextTxn_;
 
-    std::vector<uint8_t> buf;
+    // Assemble the whole transaction (extent records, then the commit
+    // record) once, in a buffer sized up front and reused across
+    // appends.
     uint64_t payload_total = 0;
+    for (unsigned r = 0; r < n; ++r)
+        payload_total += runs[r].len;
+    const uint64_t extents_len = n * sizeof(JRecHeader) + payload_total;
+    txnBuf_.resize(extents_len + sizeof(JRecHeader));
+    uint8_t *pos = txnBuf_.data();
     for (unsigned r = 0; r < n; ++r) {
         JRecHeader h{};
         h.magic = kJournalMagic;
@@ -80,24 +95,14 @@ WriteJournal::append(uint64_t ino, const WriteRun *runs, unsigned n,
         h.ino = ino;
         h.offset = runs[r].offset;
         h.len = runs[r].len;
-        h.checksum = journalChecksum(runs[r].data, runs[r].len);
-        const uint8_t *hp = reinterpret_cast<const uint8_t *>(&h);
-        buf.insert(buf.end(), hp, hp + sizeof h);
-        buf.insert(buf.end(), runs[r].data, runs[r].data + runs[r].len);
-        payload_total += runs[r].len;
+        // Checksum the copy, not the source: the record is then
+        // consistent with itself whatever the source does meanwhile.
+        uint8_t *payload = pos + sizeof h;
+        std::memcpy(payload, runs[r].data, runs[r].len);
+        h.checksum = journalChecksum(payload, runs[r].len);
+        std::memcpy(pos, &h, sizeof h);
+        pos += sizeof h + runs[r].len;
     }
-
-    IoResult w =
-        fs_.pwrite(jfd_, buf.data(), buf.size(), tail_, ready, io_path);
-    if (!ok(w.status))
-        return {w.status, 0, w.done};
-
-    // Torn-tail crash point: the extent records happened to reach
-    // stable media, the commit never did — recovery must discard them.
-    IoSpan span{tail_, buf.size()};
-    if (fs_.maybeCrash(sim::CrashPoint::MidJournalAppend, jino_, &span, 1))
-        return {Status::IoError, 0, w.done};
-
     JRecHeader c{};
     c.magic = kJournalMagic;
     c.type = kJRecCommit;
@@ -106,12 +111,25 @@ WriteJournal::append(uint64_t ino, const WriteRun *runs, unsigned n,
     c.offset = n;
     c.len = 0;
     c.checksum = headerChecksum(c);
-    IoResult wc = fs_.pwrite(jfd_, reinterpret_cast<const uint8_t *>(&c),
-                             sizeof c, tail_ + buf.size(), w.done, io_path);
+    std::memcpy(pos, &c, sizeof c);
+
+    IoResult w = fs_.pwrite(jfd_, txnBuf_.data(), extents_len, tail_, ready,
+                            io_path);
+    if (!ok(w.status))
+        return {w.status, 0, w.done};
+
+    // Torn-tail crash point: the extent records happened to reach
+    // stable media, the commit never did — recovery must discard them.
+    IoSpan span{tail_, extents_len};
+    if (fs_.maybeCrash(sim::CrashPoint::MidJournalAppend, jino_, &span, 1))
+        return {Status::IoError, 0, w.done};
+
+    IoResult wc = fs_.pwrite(jfd_, pos, sizeof c, tail_ + extents_len,
+                             w.done, io_path);
     if (!ok(wc.status))
         return {wc.status, 0, wc.done};
 
-    tail_ += buf.size() + sizeof c;
+    tail_ += extents_len + sizeof c;
     nextTxn_ = txn + 1;
     Time &p = pendingCommit_[ino];
     p = std::max(p, wc.done);

@@ -14,11 +14,13 @@
  *   [JRecHeader type=extent, payload follows] * n   one per write run
  *   [JRecHeader type=commit, offset=n]              terminates the txn
  *
- * Extent checksums cover the payload (FNV-1a 64); the commit checksum
- * covers its own header fields. Recovery replays committed
- * transactions in order and discards everything from the first
- * invalid record on — a torn tail is an uncommitted transaction and
- * simply never happened.
+ * Extent checksums cover the payload as copied into the record; the
+ * commit checksum covers its own header fields. Both use
+ * journalChecksum (FNV-1a 64 over 8-byte little-endian words, then
+ * the 0-7 tail bytes one at a time).
+ * Recovery replays committed transactions in order and discards
+ * everything from the first invalid record on — a torn tail is an
+ * uncommitted transaction and simply never happened.
  */
 
 #ifndef GPUFS_HOSTFS_JOURNAL_HH
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "hostfs/hostfs.hh"
 
@@ -48,10 +51,17 @@ struct JRecHeader {
     uint64_t ino;       ///< target inode (commit: same as extents)
     uint64_t offset;    ///< extent: file offset; commit: extent count
     uint64_t len;       ///< extent: payload bytes; commit: 0
-    uint64_t checksum;  ///< extent: FNV-1a64(payload); commit: header
+    uint64_t checksum;  ///< extent: journalChecksum(payload); commit: header
 };
 
-/** FNV-1a 64 (the journal's checksum). */
+/**
+ * The journal's checksum: FNV-1a 64 over 8-byte words. Each whole
+ * little-endian 64-bit word w of @p data is folded in as
+ * h = (h ^ w) * 0x100000001b3, starting from the FNV offset basis
+ * 0xcbf29ce484222325; the 0-7 tail bytes then fold in one byte at a
+ * time the same way. Every step is a bijection of h, so changing any
+ * single byte (or word) always changes the result.
+ */
 uint64_t journalChecksum(const uint8_t *data, uint64_t len);
 
 /** What a recovery pass found and did. */
@@ -154,6 +164,8 @@ class WriteJournal
      *  completion, and the max across them (the fsync's ready time). */
     std::unordered_map<uint64_t, Time> pendingCommit_;
     Time pendingReady_ = 0;
+    /** append()'s transaction image, reused so appends don't allocate. */
+    std::vector<uint8_t> txnBuf_;
 };
 
 } // namespace hostfs

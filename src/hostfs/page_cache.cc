@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/rng.hh"
 
 namespace gpufs {
 namespace hostfs {
@@ -28,7 +27,7 @@ uint64_t
 HostPageCache::residentBytes() const
 {
     std::lock_guard<std::mutex> lock(mtx);
-    return entries.size() * sim.params.hostCacheGranule;
+    return lru.size() * sim.params.hostCacheGranule;
 }
 
 bool
@@ -50,32 +49,47 @@ HostPageCache::releasePinned(uint64_t bytes)
 }
 
 uint64_t
-HostPageCache::touchLocked(const Key &key, bool dirty, bool &was_resident)
+HostPageCache::touchLocked(InodeGranules &ig, uint64_t ino,
+                           uint64_t granule, bool dirty, bool &was_resident)
 {
     uint64_t dirty_evicted = 0;
-    auto it = entries.find(key);
-    if (it != entries.end()) {
+    auto it = ig.granules.find(granule);
+    if (it != ig.granules.end()) {
         was_resident = true;
         lru.splice(lru.begin(), lru, it->second.lruPos);
-        it->second.dirty = it->second.dirty || dirty;
+        if (dirty && !it->second.dirty) {
+            it->second.dirty = true;
+            ig.dirty.insert(granule);
+        }
         return 0;
     }
     was_resident = false;
-    lru.push_front(key);
-    entries.emplace(key, Entry{lru.begin(), dirty});
+    lru.push_front({ino, granule});
+    ig.granules.emplace(granule, Entry{lru.begin(), dirty});
+    if (dirty)
+        ig.dirty.insert(granule);
 
     uint64_t cap = sim.params.hostCacheBytes;
     cap = cap > pinnedBytes ? cap - pinnedBytes : 0;
     uint64_t max_entries = std::max<uint64_t>(1, cap / granuleSize());
-    while (entries.size() > max_entries) {
+    while (lru.size() > max_entries) {
         const Key victim = lru.back();
-        auto vit = entries.find(victim);
-        gpufs_assert(vit != entries.end(), "LRU/map out of sync");
-        if (vit->second.dirty)
+        auto iit = inodes.find(victim.ino);
+        gpufs_assert(iit != inodes.end(), "LRU/map out of sync");
+        InodeGranules &vg = iit->second;
+        auto vit = vg.granules.find(victim.granule);
+        gpufs_assert(vit != vg.granules.end(), "LRU/map out of sync");
+        if (vit->second.dirty) {
             dirty_evicted += granuleSize();
-        entries.erase(vit);
+            vg.dirty.erase(victim.granule);
+        }
+        vg.granules.erase(vit);
         lru.pop_back();
         evictions.inc();
+        // Never erases ig: it holds the granule just inserted, which
+        // sits at the LRU front.
+        if (vg.granules.empty())
+            inodes.erase(iit);
     }
     return dirty_evicted;
 }
@@ -97,9 +111,10 @@ HostPageCache::chargeRead(uint64_t ino, uint64_t offset, uint64_t len,
     bool in_miss_run = false;
     {
         std::lock_guard<std::mutex> lock(mtx);
+        InodeGranules &ig = inodes[ino];
         for (uint64_t gi = first; gi <= last; ++gi) {
             bool resident;
-            writeback_bytes += touchLocked({ino, gi}, false, resident);
+            writeback_bytes += touchLocked(ig, ino, gi, false, resident);
             if (!resident) {
                 miss_bytes += g;
                 if (!in_miss_run)
@@ -155,9 +170,10 @@ HostPageCache::chargeWrite(uint64_t ino, uint64_t offset, uint64_t len,
     uint64_t writeback_bytes = 0;
     {
         std::lock_guard<std::mutex> lock(mtx);
+        InodeGranules &ig = inodes[ino];
         for (uint64_t gi = first; gi <= last; ++gi) {
             bool resident;
-            writeback_bytes += touchLocked({ino, gi}, true, resident);
+            writeback_bytes += touchLocked(ig, ino, gi, true, resident);
         }
     }
     if (!p.chargeHostIo)
@@ -186,6 +202,7 @@ HostPageCache::chargeWritev(uint64_t ino, const IoSpan *runs, unsigned n,
     uint64_t writeback_bytes = 0;
     {
         std::lock_guard<std::mutex> lock(mtx);
+        InodeGranules &ig = inodes[ino];
         for (unsigned r = 0; r < n; ++r) {
             if (runs[r].len == 0)
                 continue;
@@ -194,7 +211,7 @@ HostPageCache::chargeWritev(uint64_t ino, const IoSpan *runs, unsigned n,
             uint64_t last = (runs[r].offset + runs[r].len - 1) / g;
             for (uint64_t gi = first; gi <= last; ++gi) {
                 bool resident;
-                writeback_bytes += touchLocked({ino, gi}, true, resident);
+                writeback_bytes += touchLocked(ig, ino, gi, true, resident);
             }
         }
     }
@@ -228,6 +245,7 @@ HostPageCache::chargeReadv(uint64_t ino, const IoSpan *spans, unsigned n,
     uint64_t writeback_bytes = 0;
     {
         std::lock_guard<std::mutex> lock(mtx);
+        InodeGranules &ig = inodes[ino];
         for (unsigned r = 0; r < n; ++r) {
             if (spans[r].len == 0)
                 continue;
@@ -240,7 +258,7 @@ HostPageCache::chargeReadv(uint64_t ino, const IoSpan *spans, unsigned n,
             bool in_miss_run = false;
             for (uint64_t gi = first; gi <= last; ++gi) {
                 bool resident;
-                writeback_bytes += touchLocked({ino, gi}, false, resident);
+                writeback_bytes += touchLocked(ig, ino, gi, false, resident);
                 if (!resident) {
                     miss_bytes += g;
                     if (!in_miss_run)
@@ -289,11 +307,13 @@ HostPageCache::chargeSync(uint64_t ino, Time ready)
     uint64_t dirty_bytes = 0;
     {
         std::lock_guard<std::mutex> lock(mtx);
-        for (auto &kv : entries) {
-            if (kv.first.ino == ino && kv.second.dirty) {
-                kv.second.dirty = false;
-                dirty_bytes += granuleSize();
-            }
+        auto iit = inodes.find(ino);
+        if (iit != inodes.end()) {
+            InodeGranules &ig = iit->second;
+            for (uint64_t gi : ig.dirty)
+                ig.granules.find(gi)->second.dirty = false;
+            dirty_bytes = ig.dirty.size() * granuleSize();
+            ig.dirty.clear();
         }
     }
     if (dirty_bytes == 0 || !sim.params.chargeHostIo)
@@ -307,21 +327,19 @@ void
 HostPageCache::dropFile(uint64_t ino)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    for (auto it = entries.begin(); it != entries.end();) {
-        if (it->first.ino == ino) {
-            lru.erase(it->second.lruPos);
-            it = entries.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    auto iit = inodes.find(ino);
+    if (iit == inodes.end())
+        return;
+    for (const auto &kv : iit->second.granules)
+        lru.erase(kv.second.lruPos);
+    inodes.erase(iit);
 }
 
 void
 HostPageCache::dropAll()
 {
     std::lock_guard<std::mutex> lock(mtx);
-    entries.clear();
+    inodes.clear();
     lru.clear();
 }
 
@@ -334,9 +352,10 @@ HostPageCache::prefault(uint64_t ino, uint64_t offset, uint64_t len)
     uint64_t first = offset / g;
     uint64_t last = (offset + len - 1) / g;
     std::lock_guard<std::mutex> lock(mtx);
+    InodeGranules &ig = inodes[ino];
     for (uint64_t gi = first; gi <= last; ++gi) {
         bool resident;
-        touchLocked({ino, gi}, false, resident);
+        touchLocked(ig, ino, gi, false, resident);
     }
 }
 

@@ -19,8 +19,8 @@
 #include <list>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
-#include "base/rng.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
 #include "sim/context.hh"
@@ -112,25 +112,21 @@ class HostPageCache
     struct Key {
         uint64_t ino;
         uint64_t granule;
-        bool operator==(const Key &o) const
-        {
-            return ino == o.ino && granule == o.granule;
-        }
-    };
-    struct KeyHash {
-        size_t operator()(const Key &k) const
-        {
-            return static_cast<size_t>(hashCombine(k.ino, k.granule));
-        }
     };
     struct Entry {
         std::list<Key>::iterator lruPos;
         bool dirty;
     };
+    /** One inode's resident granules plus the index of its dirty ones,
+     *  so a sync or a drop touches only that inode's granules. */
+    struct InodeGranules {
+        std::unordered_map<uint64_t, Entry> granules;
+        std::unordered_set<uint64_t> dirty;
+    };
 
     sim::SimContext &sim;
     mutable std::mutex mtx;
-    std::unordered_map<Key, Entry, KeyHash> entries;
+    std::unordered_map<uint64_t, InodeGranules> inodes;
     std::list<Key> lru;              // front = most recent
     uint64_t pinnedBytes;
     StatSet stats_;
@@ -140,9 +136,11 @@ class HostPageCache
 
     uint64_t granuleSize() const { return sim.params.hostCacheGranule; }
 
-    /** Insert/refresh a granule; evict LRU victims past capacity.
+    /** Insert/refresh granule @p granule of @p ino (whose granule
+     *  set is @p ig); evict LRU victims past capacity.
      *  @return disk-writeback bytes evicted dirty (charged by caller). */
-    uint64_t touchLocked(const Key &key, bool dirty, bool &was_resident);
+    uint64_t touchLocked(InodeGranules &ig, uint64_t ino, uint64_t granule,
+                         bool dirty, bool &was_resident);
 };
 
 } // namespace hostfs

@@ -524,12 +524,14 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
             }
         }
         if (k >= 2) {
-            handleReadPagesGroup(port_idx, group, k);
-            requestsServed.inc(k);
+            // Count before servicing: a completed slot belongs to its
+            // submitter again and may already carry a new request.
             for (unsigned m = 0; m < k; ++m) {
                 tenantRpcs[group[m]->req.tenant % core::kMaxTenants]
                     ->inc();
             }
+            handleReadPagesGroup(port_idx, group, k);
+            requestsServed.inc(k);
         } else if (k == 1 && linger_ != 0 && !had_parked &&
                    port.queue->occupiedHint() > 0) {
             // Under-filled group with the burst visibly still arriving
@@ -547,9 +549,9 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
             }
             RpcResponse resp = handle(port_idx, req);
             slotPrejournaled_ = false;
+            tenantRpcs[req.tenant % core::kMaxTenants]->inc();
             RpcQueue::complete(*all[s], resp);
             requestsServed.inc();
-            tenantRpcs[req.tenant % core::kMaxTenants]->inc();
         }
     }
     // Belt and braces: a per-RPC fallback append syncs inline, so

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "hostfs/content.hh"
 #include "hostfs/hostfs.hh"
+#include "hostfs/journal.hh"
+#include "hostfs/page_cache.hh"
 #include "sim/context.hh"
 #include "tests/testutil.hh"
 
@@ -211,6 +214,175 @@ TEST(Content, OverlayStraddlesChunkBoundary)
     EXPECT_EQ(SyntheticContent::patternByte(6, 60 * 1024 + patch.size()), b);
 }
 
+TEST(Content, InMemoryChunksStraddleAndTruncateToZeros)
+{
+    // Writes and reads that cross the storage-chunk boundary, a grow
+    // that leaves a never-written hole, and a truncate into the middle
+    // of a chunk followed by a regrow: every byte reads as a plain
+    // resizable byte array would hold it.
+    const uint64_t c = InMemoryContent::kChunk;
+    InMemoryContent m;
+    std::vector<uint8_t> shadow;
+    auto put = [&](uint64_t off, uint64_t len, uint8_t v) {
+        std::vector<uint8_t> src(len, v);
+        ASSERT_TRUE(m.writeAt(off, len, src.data()));
+        if (shadow.size() < off + len)
+            shadow.resize(off + len, 0);
+        std::memset(shadow.data() + off, v, len);
+    };
+    auto check = [&](uint64_t off, uint64_t len) {
+        std::vector<uint8_t> got(len, 0xFF), want(len, 0);
+        m.readAt(off, len, got.data());
+        for (uint64_t i = 0; i < len; ++i)
+            want[i] = off + i < shadow.size() ? shadow[off + i] : 0;
+        EXPECT_EQ(want, got) << "off=" << off << " len=" << len;
+    };
+    put(c - 100, 300, 0xA1);          // straddles chunks 0 and 1
+    put(3 * c + 7, 50, 0xB2);         // chunk 2 stays a hole
+    check(0, 4 * c);
+    check(c - 150, 400);
+    m.truncate(c - 40);               // mid-chunk, inside the first write
+    shadow.resize(c - 40);
+    put(3 * c, 10, 0xC3);             // regrow: [c-40, 3c) must read 0
+    check(c - 200, 3 * c);
+    check(0, 4 * c);
+}
+
+TEST(Content, InMemoryHoldsOnlyWhatIsWritten)
+{
+    // A small file costs its own size, not a storage chunk; an
+    // append-only file (the journal's pattern) holds full chunks plus
+    // at most one partly grown one.
+    InMemoryContent small(std::vector<uint8_t>(4096, 7));
+    EXPECT_EQ(4096u, small.footprintBytes());
+
+    InMemoryContent log;
+    std::vector<uint8_t> rec(48 * 1024 + 64, 1);
+    uint64_t size = 0;
+    for (int i = 0; i < 200; ++i) {
+        ASSERT_TRUE(log.writeAt(size, rec.size(), rec.data()));
+        size += rec.size();
+    }
+    EXPECT_GE(log.footprintBytes(), size);
+    EXPECT_LE(log.footprintBytes(), size + InMemoryContent::kChunk);
+    std::vector<uint8_t> got(rec.size());
+    log.readAt(size - rec.size(), got.size(), got.data());
+    EXPECT_EQ(rec, got);
+}
+
+TEST(Content, OverlayReadMatchesGenerateThenPatch)
+{
+    // Reference model: generate the whole file, then apply every write
+    // in order. Writes and reads are unaligned and often straddle the
+    // 64 KiB overlay-chunk boundaries, and reads cover unwritten,
+    // written and mixed ranges.
+    const uint64_t file = 1 * MiB;
+    const uint64_t seed = 11;
+    auto p = SyntheticContent::pattern(seed);
+    std::vector<uint8_t> shadow(file);
+    for (uint64_t i = 0; i < file; ++i)
+        shadow[i] = SyntheticContent::patternByte(seed, i);
+    SplitMix64 rng(42);
+    auto check_read = [&]() {
+        uint64_t off = rng.nextBelow(file);
+        uint64_t len = 1 + rng.nextBelow(std::min<uint64_t>(
+                               file - off, 200 * KiB));
+        std::vector<uint8_t> got(len);
+        p->readAt(off, len, got.data());
+        ASSERT_EQ(0, std::memcmp(got.data(), shadow.data() + off, len))
+            << "off=" << off << " len=" << len;
+    };
+    for (int i = 0; i < 20; ++i)
+        check_read();                 // never written: lock-free path
+    for (int round = 0; round < 200; ++round) {
+        uint64_t off = rng.nextBelow(file);
+        uint64_t len = 1 + rng.nextBelow(std::min<uint64_t>(
+                               file - off, 150 * KiB));
+        std::vector<uint8_t> src(len);
+        for (auto &b : src)
+            b = static_cast<uint8_t>(rng.next());
+        ASSERT_TRUE(p->writeAt(off, len, src.data()));
+        std::memcpy(shadow.data() + off, src.data(), len);
+        check_read();
+        check_read();
+    }
+    std::vector<uint8_t> all(file);
+    p->readAt(0, file, all.data());
+    EXPECT_EQ(shadow, all);
+}
+
+// ---- journal checksum ----
+
+/** The documented definition, byte by byte: FNV-1a 64 over 8-byte
+ *  little-endian words, then the tail bytes one at a time. */
+uint64_t
+referenceChecksum(const std::vector<uint8_t> &d)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    size_t i = 0;
+    for (; i + 8 <= d.size(); i += 8) {
+        uint64_t w = 0;
+        for (int b = 7; b >= 0; --b)
+            w = (w << 8) | d[i + b];
+        h = (h ^ w) * 0x100000001b3ull;
+    }
+    for (; i < d.size(); ++i)
+        h = (h ^ d[i]) * 0x100000001b3ull;
+    return h;
+}
+
+TEST(JournalChecksum, MatchesWordWiseFnv1aDefinition)
+{
+    SplitMix64 rng(3);
+    for (size_t len : {0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 4099}) {
+        std::vector<uint8_t> d(len);
+        for (auto &b : d)
+            b = static_cast<uint8_t>(rng.next());
+        EXPECT_EQ(referenceChecksum(d), journalChecksum(d.data(), len))
+            << "len=" << len;
+    }
+    EXPECT_EQ(0xcbf29ce484222325ull, journalChecksum(nullptr, 0));
+}
+
+TEST(JournalChecksum, AnySingleByteFlipChangesIt)
+{
+    // Head byte, a byte in the middle of a word, and every byte of a
+    // tail shorter than one word, over lengths around word multiples;
+    // then every byte and every bit value of one payload exhaustively.
+    SplitMix64 rng(9);
+    for (size_t len : {1, 5, 8, 13, 16, 21, 64, 69}) {
+        std::vector<uint8_t> d(len);
+        for (auto &b : d)
+            b = static_cast<uint8_t>(rng.next());
+        const uint64_t base = journalChecksum(d.data(), len);
+        std::vector<size_t> spots = {0};
+        if (len >= 16)
+            spots.push_back(8 + 3);                  // mid-word
+        for (size_t i = len / 8 * 8; i < len; ++i)
+            spots.push_back(i);                      // the tail
+        for (size_t at : spots) {
+            for (uint8_t x : {0x01, 0x80, 0xFF}) {
+                d[at] ^= x;
+                EXPECT_NE(base, journalChecksum(d.data(), len))
+                    << "len=" << len << " at=" << at;
+                d[at] ^= x;
+            }
+        }
+    }
+    std::vector<uint8_t> d(37);
+    for (auto &b : d)
+        b = static_cast<uint8_t>(rng.next());
+    const uint64_t base = journalChecksum(d.data(), d.size());
+    for (size_t at = 0; at < d.size(); ++at) {
+        for (unsigned x = 1; x < 256; ++x) {
+            d[at] ^= static_cast<uint8_t>(x);
+            ASSERT_NE(base, journalChecksum(d.data(), d.size()))
+                << "at=" << at << " x=" << x;
+            d[at] ^= static_cast<uint8_t>(x);
+        }
+    }
+}
+
 // ---- page cache timing ----
 
 class PageCacheTest : public ::testing::Test
@@ -306,6 +478,90 @@ TEST_F(PageCacheTest, PrefaultMakesFirstReadWarm)
     fs.pread(fd, buf.data(), buf.size(), 0, 0);
     EXPECT_EQ(0u, fs.cache().stats().counter("miss_bytes").get());
     fs.close(fd);
+}
+
+// ---- per-inode dirty index: sync charges exactly one inode's granules ----
+
+class PageCacheSyncTest : public ::testing::Test
+{
+  protected:
+    sim::SimContext sim;
+    HostPageCache cache{sim};
+    const uint64_t g = sim.params.hostCacheGranule;
+    const Time t0 = 1 * kSecond;   // past every earlier disk grant
+
+    /** What chargeSync must charge for @p granules dirty granules. */
+    Time
+    syncCost(uint64_t granules) const
+    {
+        return sim.params.diskAccessLat
+            + transferTime(granules * g, sim.params.diskWriteMBps);
+    }
+};
+
+TEST_F(PageCacheSyncTest, SyncChargesExactlyTheInodesDirtyGranules)
+{
+    ASSERT_EQ(64 * KiB, g);
+    // Unaligned 3-granule-long write: touches granules 0..3 (4).
+    cache.chargeWrite(1, 10, 3 * g, 0, nullptr);
+    cache.chargeWrite(2, 0, 7 * g, 0, nullptr);          // 7 others
+    cache.chargeRead(1, 20 * g, 2 * g, 0, nullptr);      // clean, 1's
+    EXPECT_EQ(t0 + syncCost(4), cache.chargeSync(1, t0));
+}
+
+TEST_F(PageCacheSyncTest, SecondSyncChargesNothing)
+{
+    cache.chargeWrite(1, 0, 5 * g, 0, nullptr);
+    Time first = cache.chargeSync(1, t0);
+    EXPECT_EQ(t0 + syncCost(5), first);
+    EXPECT_EQ(first, cache.chargeSync(1, first));
+    // Re-dirtying one granule makes exactly it chargeable again.
+    cache.chargeWrite(1, 2 * g + 5, 10, first, nullptr);
+    EXPECT_EQ(first + syncCost(1), cache.chargeSync(1, first));
+}
+
+TEST_F(PageCacheSyncTest, OtherInodesDirtyGranulesSurviveASync)
+{
+    cache.chargeWrite(1, 0, 2 * g, 0, nullptr);
+    cache.chargeWrite(2, 4 * g, 3 * g, 0, nullptr);
+    cache.chargeWrite(3, 0, 1, 0, nullptr);
+    Time t1 = cache.chargeSync(1, t0);
+    EXPECT_EQ(t0 + syncCost(2), t1);
+    EXPECT_EQ(t1 + syncCost(3), cache.chargeSync(2, t1));
+    Time t3 = t1 + syncCost(3);
+    EXPECT_EQ(t3 + syncCost(1), cache.chargeSync(3, t3));
+}
+
+TEST_F(PageCacheSyncTest, RedirtyAfterDropIsCountedOnce)
+{
+    cache.chargeWrite(1, 0, 3 * g, 0, nullptr);
+    cache.chargeWrite(2, 0, 2 * g, 0, nullptr);
+    cache.dropFile(1);
+    EXPECT_EQ(2 * g, cache.residentBytes());
+    cache.chargeWrite(1, 0, 3 * g, 0, nullptr);
+    EXPECT_EQ(t0 + syncCost(3), cache.chargeSync(1, t0));
+
+    Time t1 = t0 + syncCost(3);
+    cache.chargeWrite(1, 0, 4 * g, 0, nullptr);
+    cache.dropAll();
+    EXPECT_EQ(0u, cache.residentBytes());
+    EXPECT_EQ(t1, cache.chargeSync(2, t1));       // dropped, not synced
+    cache.chargeWrite(1, 0, 4 * g, 0, nullptr);
+    cache.chargeWrite(1, g, 2 * g, 0, nullptr);   // already dirty
+    EXPECT_EQ(t1 + syncCost(4), cache.chargeSync(1, t1));
+}
+
+TEST_F(PageCacheSyncTest, EvictedDirtyGranuleIsNotChargedAgainAtSync)
+{
+    // A dirty granule evicted under capacity pressure pays its write-
+    // back at eviction; the later sync charges only what stayed dirty.
+    sim.params.hostCacheBytes = 4 * g;
+    cache.chargeWrite(1, 0, 2 * g, 0, nullptr);        // dirty 0, 1
+    cache.chargeRead(2, 0, 3 * g, 0, nullptr);         // evicts 1's 0
+    cache.chargeWrite(1, 5 * g, g, 0, nullptr);        // dirty 5, evicts 1
+
+    EXPECT_EQ(4 * g, cache.residentBytes());
+    EXPECT_EQ(t0 + syncCost(1), cache.chargeSync(1, t0));
 }
 
 } // namespace

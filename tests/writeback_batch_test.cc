@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "gpufs/system.hh"
+#include "hostfs/journal.hh"
 #include "tests/testutil.hh"
 
 namespace gpufs {
@@ -459,6 +460,238 @@ TEST_F(WritebackBatchTest, FlusherCollectsDrainedClosedCaches)
     EXPECT_TRUE(eventually(
         [&] { return stat("drained_caches_collected") >= 1; }));
     sys->fs().gclose(ctx, fb);
+}
+
+// ---------------------------------------------------------------------
+// Write-back bytes are a stable snapshot
+// ---------------------------------------------------------------------
+
+/**
+ * Every extent record in the daemon's journal, parsed from the
+ * journal file as recovery would read it.
+ */
+std::vector<std::vector<uint8_t>>
+journalPayloads(GpufsSystem &sys)
+{
+    hostfs::HostFs &hfs = sys.hostFs();
+    int fd = hfs.open(hostfs::WriteJournal::kPath, hostfs::O_RDONLY_F);
+    hostfs::FileInfo fi;
+    hfs.fstat(fd, &fi);
+    std::vector<uint8_t> img(fi.size);
+    hfs.pread(fd, img.data(), img.size(), 0);
+    hfs.close(fd);
+    std::vector<std::vector<uint8_t>> out;
+    uint64_t pos = 0;
+    while (pos + sizeof(hostfs::JRecHeader) <= img.size()) {
+        hostfs::JRecHeader h;
+        std::memcpy(&h, img.data() + pos, sizeof h);
+        pos += sizeof h;
+        if (h.type != hostfs::kJRecExtent)
+            continue;
+        out.emplace_back(img.data() + pos, img.data() + pos + h.len);
+        pos += h.len;
+    }
+    return out;
+}
+
+TEST_F(WritebackBatchTest, WriteBackSendsSnapshotNotFrameWritersFill)
+{
+    // One block rewrites a whole page over and over, each time with a
+    // single byte value, while another block keeps syncing the same
+    // durable file. Each gwrite is one memcpy into the frame, so a
+    // write-back that read the live frame while that memcpy ran would
+    // journal (and write in place) a mix of two values. Write-back
+    // copies the extent at its take, with writers fenced off, so
+    // every journaled extent holds exactly one gwrite's value.
+    GpuFsParams p = baseParams();
+    p.pageSize = 64 * KiB;
+    p.journalWriteback = true;
+    makeSystem(p);
+    test::addRamp(sys->hostFs(), "/hot", p.pageSize);
+
+    constexpr int kWrites = 3000;
+    std::atomic<bool> writer_done{false};
+    std::atomic<uint64_t> errors{0};
+    gpu::launch(sys->device(0), 2, 256, [&](gpu::BlockCtx &ctx) {
+        GpuFs &fs = sys->fs();
+        int fd = fs.gopen(ctx, "/hot", G_RDWR | G_GDURABLE);
+        if (fd < 0) {
+            errors.fetch_add(1);
+            writer_done.store(true);
+            return;
+        }
+        if (ctx.blockId() == 0) {
+            std::vector<uint8_t> page(p.pageSize);
+            for (int i = 0; i < kWrites; ++i) {
+                std::memset(page.data(), uint8_t(i), page.size());
+                if (fs.gwrite(ctx, fd, 0, page.size(), page.data()) !=
+                    int64_t(page.size())) {
+                    errors.fetch_add(1);
+                }
+            }
+            writer_done.store(true);
+        } else {
+            while (!writer_done.load()) {
+                if (!ok(fs.gfsync(ctx, fd)))
+                    errors.fetch_add(1);
+            }
+        }
+        fs.gclose(ctx, fd);
+    });
+    gpu::launch(sys->device(0), 1, 256, [&](gpu::BlockCtx &ctx) {
+        int fd = sys->fs().gopen(ctx, "/hot", G_RDWR | G_GDURABLE);
+        if (fd < 0 || !ok(sys->fs().gfsync(ctx, fd)))
+            errors.fetch_add(1);
+        sys->fs().gclose(ctx, fd);
+    });
+    ASSERT_EQ(0u, errors.load());
+
+    auto payloads = journalPayloads(*sys);
+    ASSERT_FALSE(payloads.empty());
+    unsigned torn = 0;
+    for (const auto &pl : payloads) {
+        for (uint8_t b : pl) {
+            if (b != pl[0]) {
+                ++torn;
+                break;
+            }
+        }
+    }
+    EXPECT_EQ(0u, torn) << "of " << payloads.size() << " extents";
+    // And the host holds the last gwrite, whole.
+    std::vector<uint8_t> got(p.pageSize);
+    int hfd = sys->hostFs().open("/hot", hostfs::O_RDONLY_F);
+    sys->hostFs().pread(hfd, got.data(), got.size(), 0);
+    sys->hostFs().close(hfd);
+    EXPECT_EQ(std::vector<uint8_t>(p.pageSize, uint8_t(kWrites - 1)), got);
+}
+
+TEST_F(WritebackBatchTest, ConcurrentWriteBacksNeverLookRemoteAtReopen)
+{
+    // Many blocks write back pages of one shared file at once, so the
+    // host versions their write-backs return reach the file's cache on
+    // different threads, in any order. The cache must end at the
+    // newest of them: anything older makes the next gopen mistake the
+    // file for remotely modified and drop the cache, dirty pages and
+    // all (which is how a block's gwrite went missing after its final
+    // gfsync). Every reopen must therefore reuse the cache.
+    GpuFsParams p = baseParams();
+    makeSystem(p);
+    constexpr unsigned kBlocks = 8;
+    constexpr int kRounds = 60;
+    test::addRamp(sys->hostFs(), "/shared", kBlocks * kPage);
+    std::atomic<uint64_t> errors{0};
+    for (int r = 0; r < kRounds; ++r) {
+        gpu::launch(sys->device(0), kBlocks, 256, [&](gpu::BlockCtx &ctx) {
+            GpuFs &fs = sys->fs();
+            int fd = fs.gopen(ctx, "/shared", G_RDWR);
+            if (fd < 0) {
+                errors.fetch_add(1);
+                return;
+            }
+            std::vector<uint8_t> buf(kPage / 2, uint8_t(r + ctx.blockId()));
+            if (fs.gwrite(ctx, fd, ctx.blockId() * kPage, buf.size(),
+                          buf.data()) != int64_t(buf.size()) ||
+                !ok(fs.gfsync(ctx, fd))) {
+                errors.fetch_add(1);
+            }
+            fs.gclose(ctx, fd);
+        });
+    }
+    ASSERT_EQ(0u, errors.load());
+    EXPECT_EQ(0u, stat("cache_invalidations"));
+    int hfd = sys->hostFs().open("/shared", hostfs::O_RDONLY_F);
+    for (unsigned b = 0; b < kBlocks; ++b) {
+        uint8_t byte = 0;
+        sys->hostFs().pread(hfd, &byte, 1, b * kPage);
+        EXPECT_EQ(uint8_t(kRounds - 1 + b), byte) << "block " << b;
+    }
+    sys->hostFs().close(hfd);
+}
+
+TEST_F(WritebackBatchTest, ReopenRacingEvictionWriteBackKeepsDirtyPages)
+{
+    // A closed file keeps its dirty pages. One block streams another
+    // file through a small arena, so eviction writes those pages back,
+    // while a second block keeps reopening the closed file. A reopen
+    // can see the host version an eviction write-back produced before
+    // the evicting thread has stored it in the cache, and so take the
+    // file for remotely modified and drop the cache. Whatever it
+    // decides, no dirty byte may be lost.
+    GpuFsParams p = baseParams();
+    p.cacheBytes = 32 * kPage;
+    makeSystem(p);
+    constexpr unsigned kHotPages = 24;
+    constexpr unsigned kBigPages = 256;
+    constexpr int kRounds = 150;
+    test::addRamp(sys->hostFs(), "/hot", kHotPages * kPage);
+    test::addRamp(sys->hostFs(), "/big", kBigPages * kPage);
+    std::atomic<uint64_t> errors{0};
+    for (int r = 0; r < kRounds; ++r) {
+        const uint8_t value = uint8_t(r + 1);
+        gpu::launch(sys->device(0), 1, 256, [&](gpu::BlockCtx &ctx) {
+            GpuFs &fs = sys->fs();
+            int fd = fs.gopen(ctx, "/hot", G_RDWR);
+            if (fd < 0) {
+                errors.fetch_add(1);
+                return;
+            }
+            std::vector<uint8_t> buf(kPage, value);
+            for (unsigned pg = 0; pg < kHotPages; ++pg) {
+                if (fs.gwrite(ctx, fd, uint64_t(pg) * kPage, kPage,
+                              buf.data()) != int64_t(kPage)) {
+                    errors.fetch_add(1);
+                }
+            }
+            fs.gclose(ctx, fd);     // no sync: dirty pages stay cached
+        });
+        std::atomic<bool> streamed{false};
+        gpu::launch(sys->device(0), 2, 256, [&](gpu::BlockCtx &ctx) {
+            GpuFs &fs = sys->fs();
+            if (ctx.blockId() == 0) {
+                int fd = fs.gopen(ctx, "/big", G_RDONLY);
+                std::vector<uint8_t> buf(kPage);
+                for (unsigned pg = 0; fd >= 0 && pg < kBigPages; ++pg) {
+                    if (fs.gread(ctx, fd, uint64_t(pg) * kPage, kPage,
+                                 buf.data()) != int64_t(kPage)) {
+                        errors.fetch_add(1);
+                    }
+                }
+                if (fd < 0)
+                    errors.fetch_add(1);
+                else
+                    fs.gclose(ctx, fd);
+                streamed.store(true);
+            } else {
+                while (!streamed.load()) {
+                    int fd = fs.gopen(ctx, "/hot", G_RDWR);
+                    if (fd < 0) {
+                        errors.fetch_add(1);
+                        return;
+                    }
+                    fs.gclose(ctx, fd);
+                }
+            }
+        });
+        gpu::launch(sys->device(0), 1, 256, [&](gpu::BlockCtx &ctx) {
+            int fd = sys->fs().gopen(ctx, "/hot", G_RDWR);
+            if (fd < 0 || !ok(sys->fs().gfsync(ctx, fd)))
+                errors.fetch_add(1);
+            sys->fs().gclose(ctx, fd);
+        });
+        ASSERT_EQ(0u, errors.load()) << "round " << r;
+        int hfd = sys->hostFs().open("/hot", hostfs::O_RDONLY_F);
+        std::vector<uint8_t> got(kPage);
+        unsigned stale = 0;
+        for (unsigned pg = 0; pg < kHotPages; ++pg) {
+            sys->hostFs().pread(hfd, got.data(), kPage,
+                                uint64_t(pg) * kPage);
+            if (got != std::vector<uint8_t>(kPage, value))
+                ++stale;
+        }
+        sys->hostFs().close(hfd);
+        ASSERT_EQ(0u, stale) << "round " << r << " lost dirty pages";
+    }
 }
 
 } // namespace
