@@ -70,9 +70,9 @@ struct WriteRun {
 };
 
 /** One run of a gathered scatter-read (preadRuns): a contiguous file
- *  extent at @p offset landing in @p nPages page buffers, one
- *  originating RPC slot's worth. @p bytes returns the EOF-clamped
- *  byte count actually read for that run. */
+ *  extent at @p offset landing in @p nPages page buffers of
+ *  @p pageLen bytes. @p bytes returns the EOF-clamped byte count
+ *  actually read for that run. */
 struct ReadRun {
     uint64_t offset;
     uint8_t *const *dsts;
@@ -111,23 +111,13 @@ class HostFs
                     Time ready = 0, sim::Resource *io_path = nullptr);
 
     /**
-     * Vectored scatter-read: one contiguous file extent starting at
-     * @p offset lands in @p n_pages buffers of @p page_len bytes each
-     * (dsts[i] receives [offset + i*page_len, ...)), charged as ONE
-     * preadv syscall — the daemon's batched ReadPages path. Bytes
-     * clamp at EOF; tails of partial pages are left untouched.
-     */
-    IoResult preadPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-                        uint64_t page_len, uint64_t offset, Time ready = 0,
-                        sim::Resource *io_path = nullptr);
-
-    /**
      * Gathered scatter-read: every run's extent lands in its page
      * buffers, charged as ONE preadv syscall over all runs (per-run
      * miss/disk accounting, one copy overhead) — the daemon's
      * cross-slot aggregated ReadPages path. Per-run byte counts (EOF
      * clamped; runs entirely past EOF read 0 bytes) return in
-     * runs[i].bytes; IoResult.bytes is their sum.
+     * runs[i].bytes; IoResult.bytes is their sum. One run is a plain
+     * (vectored) pread of one extent.
      */
     IoResult preadRuns(int fd, ReadRun *runs, unsigned n, Time ready = 0,
                        sim::Resource *io_path = nullptr);
@@ -153,15 +143,8 @@ class HostFs
     // backends call these and put their own device, DMA-engine, and
     // fabric reservations on top (src/storage/*).
 
-    IoResult preadUncached(int fd, uint8_t *dst, uint64_t len,
-                           uint64_t offset, Time ready = 0);
-    IoResult preadPagesUncached(int fd, uint8_t *const *dsts,
-                                unsigned n_pages, uint64_t page_len,
-                                uint64_t offset, Time ready = 0);
     IoResult preadRunsUncached(int fd, ReadRun *runs, unsigned n,
                                Time ready = 0);
-    IoResult pwriteUncached(int fd, const uint8_t *src, uint64_t len,
-                            uint64_t offset, Time ready = 0);
     IoResult pwritevUncached(int fd, const WriteRun *runs, unsigned n,
                              Time ready = 0);
 
@@ -265,16 +248,8 @@ class HostFs
 
     /** Shared bodies of the charged/uncached pairs: @p charge false
      *  skips the HostPageCache charge (done stays @p ready). */
-    IoResult preadImpl(int fd, uint8_t *dst, uint64_t len, uint64_t offset,
-                       Time ready, sim::Resource *io_path, bool charge);
-    IoResult preadPagesImpl(int fd, uint8_t *const *dsts, unsigned n_pages,
-                            uint64_t page_len, uint64_t offset, Time ready,
-                            sim::Resource *io_path, bool charge);
     IoResult preadRunsImpl(int fd, ReadRun *runs, unsigned n, Time ready,
                            sim::Resource *io_path, bool charge);
-    IoResult pwriteImpl(int fd, const uint8_t *src, uint64_t len,
-                        uint64_t offset, Time ready, sim::Resource *io_path,
-                        bool charge);
     IoResult pwritevImpl(int fd, const WriteRun *runs, unsigned n,
                          Time ready, sim::Resource *io_path, bool charge);
     IoResult fsyncImpl(int fd, Time ready, bool charge);

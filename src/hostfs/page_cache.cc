@@ -98,98 +98,16 @@ Time
 HostPageCache::chargeRead(uint64_t ino, uint64_t offset, uint64_t len,
                           Time ready, sim::Resource *io_path)
 {
-    if (len == 0)
-        return ready;
-    const auto &p = sim.params;
-    uint64_t g = granuleSize();
-    uint64_t first = offset / g;
-    uint64_t last = (offset + len - 1) / g;
-
-    uint64_t miss_bytes = 0;
-    uint64_t miss_extents = 0;
-    uint64_t writeback_bytes = 0;
-    bool in_miss_run = false;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        InodeGranules &ig = inodes[ino];
-        for (uint64_t gi = first; gi <= last; ++gi) {
-            bool resident;
-            writeback_bytes += touchLocked(ig, ino, gi, false, resident);
-            if (!resident) {
-                miss_bytes += g;
-                if (!in_miss_run)
-                    ++miss_extents;
-                in_miss_run = true;
-            } else {
-                in_miss_run = false;
-            }
-        }
-    }
-    hitBytes.inc(len > miss_bytes ? len - miss_bytes : 0);
-    missBytes.inc(std::min(miss_bytes, len));
-
-    if (!p.chargeHostIo)
-        return ready;
-
-    Time t = ready;
-    if (miss_bytes > 0 || writeback_bytes > 0) {
-        Time disk_dur = miss_extents * p.diskAccessLat
-            + transferTime(miss_bytes, p.diskReadMBps)
-            + transferTime(writeback_bytes, p.diskWriteMBps);
-        // Pinned memory squeezes the page cache into direct reclaim
-        // (§5.1.4): scale disk time by the pressure factor.
-        double pinned_frac;
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            pinned_frac = p.hostCacheBytes
-                ? double(pinnedBytes) / double(p.hostCacheBytes) : 0.0;
-        }
-        disk_dur = Time(double(disk_dur) *
-                        (1.0 + p.pinnedReclaimPenalty * pinned_frac));
-        t = sim.disk.reserve(t, disk_dur).end;
-    }
-    Time copy_dur = p.preadOverhead + transferTime(len, p.hostCacheReadMBps);
-    if (io_path)
-        t = io_path->reserve(t, copy_dur).end;
-    else
-        t += copy_dur;
-    return t;
+    const IoSpan span{offset, len};
+    return chargeReadv(ino, &span, 1, ready, io_path);
 }
 
 Time
 HostPageCache::chargeWrite(uint64_t ino, uint64_t offset, uint64_t len,
                            Time ready, sim::Resource *io_path)
 {
-    if (len == 0)
-        return ready;
-    const auto &p = sim.params;
-    uint64_t g = granuleSize();
-    uint64_t first = offset / g;
-    uint64_t last = (offset + len - 1) / g;
-
-    uint64_t writeback_bytes = 0;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        InodeGranules &ig = inodes[ino];
-        for (uint64_t gi = first; gi <= last; ++gi) {
-            bool resident;
-            writeback_bytes += touchLocked(ig, ino, gi, true, resident);
-        }
-    }
-    if (!p.chargeHostIo)
-        return ready;
-
-    Time t = ready;
-    if (writeback_bytes > 0) {
-        t = sim.disk.reserve(
-            t, transferTime(writeback_bytes, p.diskWriteMBps)).end;
-    }
-    Time copy_dur = p.preadOverhead + transferTime(len, p.hostCacheWriteMBps);
-    if (io_path)
-        t = io_path->reserve(t, copy_dur).end;
-    else
-        t += copy_dur;
-    return t;
+    const IoSpan span{offset, len};
+    return chargeWritev(ino, &span, 1, ready, io_path);
 }
 
 Time
@@ -199,6 +117,10 @@ HostPageCache::chargeWritev(uint64_t ino, const IoSpan *runs, unsigned n,
     const auto &p = sim.params;
     uint64_t g = granuleSize();
     uint64_t total = 0;
+    for (unsigned r = 0; r < n; ++r)
+        total += runs[r].len;
+    if (total == 0)
+        return ready;
     uint64_t writeback_bytes = 0;
     {
         std::lock_guard<std::mutex> lock(mtx);
@@ -206,7 +128,6 @@ HostPageCache::chargeWritev(uint64_t ino, const IoSpan *runs, unsigned n,
         for (unsigned r = 0; r < n; ++r) {
             if (runs[r].len == 0)
                 continue;
-            total += runs[r].len;
             uint64_t first = runs[r].offset / g;
             uint64_t last = (runs[r].offset + runs[r].len - 1) / g;
             for (uint64_t gi = first; gi <= last; ++gi) {
@@ -215,7 +136,7 @@ HostPageCache::chargeWritev(uint64_t ino, const IoSpan *runs, unsigned n,
             }
         }
     }
-    if (total == 0 || !p.chargeHostIo)
+    if (!p.chargeHostIo)
         return ready;
 
     Time t = ready;
@@ -240,6 +161,10 @@ HostPageCache::chargeReadv(uint64_t ino, const IoSpan *spans, unsigned n,
     const auto &p = sim.params;
     uint64_t g = granuleSize();
     uint64_t total = 0;
+    for (unsigned r = 0; r < n; ++r)
+        total += spans[r].len;
+    if (total == 0)
+        return ready;
     uint64_t miss_bytes = 0;
     uint64_t miss_extents = 0;
     uint64_t writeback_bytes = 0;
@@ -249,7 +174,6 @@ HostPageCache::chargeReadv(uint64_t ino, const IoSpan *spans, unsigned n,
         for (unsigned r = 0; r < n; ++r) {
             if (spans[r].len == 0)
                 continue;
-            total += spans[r].len;
             uint64_t first = spans[r].offset / g;
             uint64_t last = (spans[r].offset + spans[r].len - 1) / g;
             // Miss runs don't fuse across spans: the spans belong to
@@ -273,7 +197,7 @@ HostPageCache::chargeReadv(uint64_t ino, const IoSpan *spans, unsigned n,
     hitBytes.inc(total > miss_bytes ? total - miss_bytes : 0);
     missBytes.inc(std::min(miss_bytes, total));
 
-    if (total == 0 || !p.chargeHostIo)
+    if (!p.chargeHostIo)
         return ready;
 
     Time t = ready;
@@ -281,6 +205,8 @@ HostPageCache::chargeReadv(uint64_t ino, const IoSpan *spans, unsigned n,
         Time disk_dur = miss_extents * p.diskAccessLat
             + transferTime(miss_bytes, p.diskReadMBps)
             + transferTime(writeback_bytes, p.diskWriteMBps);
+        // Pinned memory squeezes the page cache into direct reclaim
+        // (§5.1.4): scale disk time by the pressure factor.
         double pinned_frac;
         {
             std::lock_guard<std::mutex> lock(mtx);

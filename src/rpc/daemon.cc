@@ -109,9 +109,103 @@ retryTransient(hostfs::HostFs &fs, Counter &retries, Counter &giveups,
     return r;
 }
 
-// Defined below, next to the write-back handlers that share it.
-void appendZeroDiffRuns(std::vector<hostfs::WriteRun> &runs, uint64_t off,
-                        const uint8_t *data, uint64_t len);
+/** Batched requests carry 1..kMaxBatchPages pages; peer ops also need
+ *  a page size (the owner's page index derives from it). */
+bool
+batchOk(const RpcRequest &req)
+{
+    switch (req.op) {
+      case RpcOp::ReadPage:
+      case RpcOp::WriteBack:
+        return true;
+      case RpcOp::PeerReadPages:
+      case RpcOp::PeerWritePages:
+        if (req.pageLen == 0)
+            return false;
+        [[fallthrough]];
+      default:
+        return req.pageCount > 0 && req.pageCount <= kMaxBatchPages;
+    }
+}
+
+bool
+isRead(RpcOp op)
+{
+    return op == RpcOp::ReadPage || op == RpcOp::ReadPages ||
+           op == RpcOp::PeerReadPages;
+}
+
+bool
+isWrite(RpcOp op)
+{
+    return op == RpcOp::WriteBack || op == RpcOp::WritePages ||
+           op == RpcOp::PeerWritePages;
+}
+
+/** A write request's extents: WriteBack is a one-extent batch. */
+unsigned
+extentsOf(const RpcRequest &req, hostfs::WriteRun *out)
+{
+    if (req.op == RpcOp::WriteBack) {
+        out[0] = {req.offset, req.len, req.data};
+        return 1;
+    }
+    for (unsigned i = 0; i < req.pageCount; ++i)
+        out[i] = {req.batchOff[i], req.batchLen[i], req.batch[i]};
+    return req.pageCount;
+}
+
+/**
+ * O_GWRONCE: the pristine copy is implicitly all zeros, so the
+ * locally-modified bytes are exactly the non-zero ones. Append maximal
+ * non-zero runs of [data, data+len) (landing at file offset @p off) so
+ * concurrent writers to other regions of the same page are not
+ * reverted (§3.1).
+ */
+void
+appendZeroDiffRuns(std::vector<hostfs::WriteRun> &runs, uint64_t off,
+                   const uint8_t *data, uint64_t len)
+{
+    uint64_t i = 0;
+    while (i < len) {
+        while (i < len && data[i] == 0)
+            ++i;
+        uint64_t run = i;
+        while (run < len && data[run] != 0)
+            ++run;
+        if (run > i)
+            runs.push_back({off + i, run - i, data + i});
+        i = run;
+    }
+}
+
+/**
+ * The runs a write request lands as ONE gathered pwritev (one syscall
+ * charge, one version bump): its non-empty extents, each split into
+ * its non-zero runs under diffAgainstZeros. Empty for anything that
+ * is not a valid write request. The write pipeline and the sweep's
+ * journal preflight both build runs here, so they journal the same
+ * bytes.
+ */
+std::vector<hostfs::WriteRun>
+writeRunsOf(const RpcRequest &req)
+{
+    std::vector<hostfs::WriteRun> runs;
+    if (!isWrite(req.op) || !batchOk(req))
+        return runs;
+    hostfs::WriteRun ext[kMaxBatchPages];
+    const unsigned n = extentsOf(req, ext);
+    runs.reserve(n);
+    for (unsigned i = 0; i < n; ++i) {
+        if (ext[i].len == 0)
+            continue;
+        if (req.diffAgainstZeros)
+            appendZeroDiffRuns(runs, ext[i].offset, ext[i].data, ext[i].len);
+        else
+            runs.push_back(ext[i]);
+    }
+    return runs;
+}
 
 } // namespace
 
@@ -150,44 +244,50 @@ CpuDaemon::maybeJournal(int fd, const hostfs::WriteRun *runs, unsigned n,
         // so the WAL rule (commit durable before the in-place write)
         // holds without a per-RPC fsync here.
         slotPrejournaled_ = false;
-        journalCommits.inc();
-        journalUnapplied_.fetch_add(1, std::memory_order_relaxed);
-        if (journaled)
-            *journaled = true;
         t = std::max(t, slotPrejournalTime_);
-        // Crash point "commit durable, in-place write never ran":
-        // exactly the window recovery's replay exists for.
-        if (fs.maybeCrash(sim::CrashPoint::AfterJournalCommit))
-            return Status::IoError;
-        return Status::Ok;
+    } else {
+        // Fallback (preflight append failed or was skipped): per-RPC
+        // append + fsync. The sync cannot be deferred to the sweep's
+        // end — a crash reverts un-fsynced journal records, so an
+        // in-place write issued before the sync would be
+        // unrecoverable if torn.
+        hostfs::IoResult j = journalAppend(ino, runs, n, t, io);
+        if (!ok(j.status))
+            return j.status;
+        hostfs::IoResult s = journalSync(j.done);
+        if (!ok(s.status))
+            return s.status;
+        t = s.done;
     }
-    // Fallback (preflight append failed or was skipped): per-RPC
-    // append + fsync. The sync cannot be deferred to the sweep's end —
-    // a crash reverts un-fsynced journal records, so an in-place write
-    // issued before the sync would be unrecoverable if torn.
-    const Time base = t;
-    hostfs::IoResult j = retryTransient(
-        fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-            return journal_->append(ino, runs, n, base + backoff, io);
-        });
-    if (!ok(j.status))
-        return j.status;
-    hostfs::IoResult s = retryTransient(
-        fs, ioRetries, ioRetryGiveups,
-        [&](Time backoff) { return journal_->groupSync(j.done + backoff); });
-    if (!ok(s.status))
-        return s.status;
-    journalGroupSyncs.inc();
     journalCommits.inc();
     journalUnapplied_.fetch_add(1, std::memory_order_relaxed);
     if (journaled)
         *journaled = true;
-    t = s.done;
     // Crash point "commit durable, in-place write never ran": exactly
     // the window recovery's replay exists for.
     if (fs.maybeCrash(sim::CrashPoint::AfterJournalCommit))
         return Status::IoError;
     return Status::Ok;
+}
+
+hostfs::IoResult
+CpuDaemon::journalAppend(uint64_t ino, const hostfs::WriteRun *runs,
+                         unsigned n, Time at, sim::Resource *io)
+{
+    return retryTransient(fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
+        return journal_->append(ino, runs, n, at + backoff, io);
+    });
+}
+
+hostfs::IoResult
+CpuDaemon::journalSync(Time at)
+{
+    hostfs::IoResult s = retryTransient(
+        fs, ioRetries, ioRetryGiveups,
+        [&](Time backoff) { return journal_->groupSync(at + backoff); });
+    if (ok(s.status))
+        journalGroupSyncs.inc();
+    return s;
 }
 
 Status
@@ -197,13 +297,7 @@ CpuDaemon::flushJournalSync()
     // recovery's replay, and fsyncing a dead store is not transient.
     if (!journal_ || !journal_->syncPending() || fs.crashed())
         return Status::Ok;
-    hostfs::IoResult s = retryTransient(
-        fs, ioRetries, ioRetryGiveups,
-        [&](Time backoff) { return journal_->groupSync(backoff); });
-    if (!ok(s.status))
-        return s.status;
-    journalGroupSyncs.inc();
-    return Status::Ok;
+    return journalSync(0).status;
 }
 
 void
@@ -216,77 +310,34 @@ CpuDaemon::prejournalSweep(unsigned port_idx, RpcSlot **all,
     bool appended = false;
     for (unsigned s = 0; s < total; ++s) {
         const RpcRequest &req = all[s]->req;
-        // Reconstruct exactly the runs the handler will journal (same
-        // validation guards, same zero-diff split) — the staging bytes
-        // are already host-visible when the slot is claimed; only the
-        // D2H DMA's virtual-time charge happens later in the handler.
-        std::vector<hostfs::WriteRun> runs;
-        switch (req.op) {
-        case RpcOp::WritePages:
-            if (req.pageCount == 0 || req.pageCount > kMaxBatchPages)
-                continue;
-            for (unsigned i = 0; i < req.pageCount; ++i) {
-                if (req.batchLen[i] == 0)
-                    continue;
-                if (req.diffAgainstZeros) {
-                    appendZeroDiffRuns(runs, req.batchOff[i],
-                                       req.batch[i], req.batchLen[i]);
-                } else {
-                    runs.push_back({req.batchOff[i], req.batchLen[i],
-                                    req.batch[i]});
-                }
-            }
-            break;
-        case RpcOp::PeerWritePages:
-            if (req.pageCount == 0 || req.pageCount > kMaxBatchPages ||
-                req.pageLen == 0)
-                continue;
-            for (unsigned i = 0; i < req.pageCount; ++i) {
-                if (req.batchLen[i] == 0)
-                    continue;
-                runs.push_back({req.batchOff[i], req.batchLen[i],
-                                req.batch[i]});
-            }
-            break;
-        case RpcOp::WriteBack:
-            if (req.diffAgainstZeros)
-                appendZeroDiffRuns(runs, req.offset, req.data, req.len);
-            else if (req.len > 0)
-                runs.push_back({req.offset, req.len, req.data});
-            break;
-        default:
-            continue;
-        }
+        // Exactly the runs the write pipeline will journal — the
+        // staging bytes are already host-visible when the slot is
+        // claimed; only the D2H DMA's virtual-time charge happens
+        // later in the pipeline.
+        std::vector<hostfs::WriteRun> runs = writeRunsOf(req);
         uint64_t ino = 0;
         if (runs.empty() || !durableFd(req.hostFd, &ino))
             continue;
-        hostfs::IoResult j = retryTransient(
-            fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return journal_->append(ino, runs.data(),
-                                        static_cast<unsigned>(runs.size()),
-                                        req.issueTime + backoff,
-                                        &sim.cpuIo);
-            });
+        hostfs::IoResult j =
+            journalAppend(ino, runs.data(), static_cast<unsigned>(runs.size()),
+                          req.issueTime, &sim.cpuIo);
         if (!ok(j.status))
-            continue; // handler's maybeJournal falls back per-RPC
+            continue; // the pipeline's maybeJournal falls back per-RPC
         prejournalDone_[all[s]] = j.done;
         appended = true;
     }
     if (!appended)
         return;
-    hostfs::IoResult gs = retryTransient(
-        fs, ioRetries, ioRetryGiveups,
-        [&](Time backoff) { return journal_->groupSync(backoff); });
+    hostfs::IoResult gs = journalSync(0);
     if (!ok(gs.status) || fs.crashed()) {
         // The group fsync failed (or a crash fired mid-preflight): the
-        // appends are NOT durable, so the handlers must not treat them
+        // appends are NOT durable, so the pipeline must not treat them
         // as committed — drop the records and let maybeJournal's
         // per-RPC fallback re-establish the WAL ordering (or surface
         // the error).
         prejournalDone_.clear();
         return;
     }
-    journalGroupSyncs.inc();
     // Propagate the sync-durable time into every preflighted slot so
     // resp.done never claims completion before its commit was durable.
     for (auto &e : prejournalDone_)
@@ -485,21 +536,21 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
     // the point tenants' slots instead of ahead of them.
     drrOrder(port, all, total);
     // Group commit: append every write-op slot's journal txn and make
-    // them durable with ONE fsync before any handler's in-place write
+    // them durable with ONE fsync before any in-place write
     // runs (see prejournalSweep for the WAL ordering argument).
     prejournalSweep(port_idx, all, total);
     // Cross-block RPC aggregation: the burst a coalesced doorbell
     // delivered as one sweep usually carries many blocks' ReadPages
     // on the SAME file (a shared scan) — gather each same-file set
     // into one host read instead of k. Groups are serviced at their
-    // first member's place in the emission order; everything else
-    // keeps the plain per-slot path.
+    // first member's place in the emission order.
     bool taken[2 * kQueueSlots] = {};
     for (unsigned s = 0; s < total; ++s) {
         if (taken[s])
             continue;
         RpcSlot *group[2 * kQueueSlots];
         unsigned k = 0;
+        group[k++] = all[s];
         const RpcRequest &req = all[s]->req;
         // Requests the victim tier fully covers stay OUT of the
         // gathered storage read: served individually they skip the
@@ -507,39 +558,33 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
         // whole point of the tier. victimCoversReq is a count-free
         // peek, so members that do ride a group keep exact hit/miss
         // accounting.
-        if (req.op == RpcOp::ReadPages && req.pageCount > 0 &&
-            req.pageCount <= kMaxBatchPages && !victimCoversReq(req)) {
-            group[k++] = all[s];
-            for (unsigned t = s + 1; t < total; ++t) {
-                if (taken[t])
-                    continue;
-                const RpcRequest &r2 = all[t]->req;
-                if (r2.op == RpcOp::ReadPages &&
-                    r2.hostFd == req.hostFd &&
-                    r2.pageCount > 0 && r2.pageCount <= kMaxBatchPages &&
-                    !victimCoversReq(r2)) {
-                    group[k++] = all[t];
-                    taken[t] = true;
-                }
+        const bool groupable = req.op == RpcOp::ReadPages &&
+                               batchOk(req) && !victimCoversReq(req);
+        for (unsigned t = s + 1; groupable && t < total; ++t) {
+            const RpcRequest &r2 = all[t]->req;
+            if (!taken[t] && r2.op == RpcOp::ReadPages &&
+                r2.hostFd == req.hostFd && batchOk(r2) &&
+                !victimCoversReq(r2)) {
+                group[k++] = all[t];
+                taken[t] = true;
             }
         }
-        if (k >= 2) {
-            // Count before servicing: a completed slot belongs to its
-            // submitter again and may already carry a new request.
-            for (unsigned m = 0; m < k; ++m) {
-                tenantRpcs[group[m]->req.tenant % core::kMaxTenants]
-                    ->inc();
-            }
-            handleReadPagesGroup(port_idx, group, k);
-            requestsServed.inc(k);
-        } else if (k == 1 && linger_ != 0 && !had_parked &&
-                   port.queue->occupiedHint() > 0) {
+        if (groupable && k == 1 && linger_ != 0 && !had_parked &&
+            port.queue->occupiedHint() > 0) {
             // Under-filled group with the burst visibly still arriving
             // (slots Filling/Ready in the census): park it for one
             // extra sweep instead of issuing a lone host read — the
             // loop's linger spin merges it with the stragglers, or
             // flushes it solo at the (virtual-deadline-sized) bound.
             port.parked.push_back(all[s]);
+            continue;
+        }
+        // Count before servicing: a completed slot belongs to its
+        // submitter again and may already carry a new request.
+        for (unsigned m = 0; m < k; ++m)
+            tenantRpcs[group[m]->req.tenant % core::kMaxTenants]->inc();
+        if (isRead(req.op)) {
+            serviceRead(port_idx, group, k);
         } else {
             auto pj = prejournalDone_.find(all[s]);
             if (pj != prejournalDone_.end()) {
@@ -549,10 +594,9 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
             }
             RpcResponse resp = handle(port_idx, req);
             slotPrejournaled_ = false;
-            tenantRpcs[req.tenant % core::kMaxTenants]->inc();
             RpcQueue::complete(*all[s], resp);
-            requestsServed.inc();
         }
+        requestsServed.inc(k);
     }
     // Belt and braces: a per-RPC fallback append syncs inline, so
     // nothing should be pending here — but never leave a sweep with
@@ -611,65 +655,6 @@ CpuDaemon::drrOrder(GpuPort &port, RpcSlot **batch, unsigned n)
     }
 }
 
-void
-CpuDaemon::handleReadPagesGroup(unsigned port_idx, RpcSlot **group,
-                                unsigned k)
-{
-    gpu::GpuDevice &dev = *ports[port_idx]->dev;
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
-
-    // One daemon action for the whole group: the sweep claimed every
-    // member together, so the shared CPU-overhead reservation starts
-    // once the LAST member's request has crossed the queue — k
-    // requests, ONE rpcCpuOverhead instead of k.
-    Time ready = 0;
-    for (unsigned m = 0; m < k; ++m)
-        ready = std::max(ready, group[m]->req.issueTime);
-    ready += p.rpcSubmitLat;
-    Time t0 = sim.cpuIo.reserve(ready, p.rpcCpuOverhead).end;
-
-    std::vector<hostfs::ReadRun> runs(k);
-    for (unsigned m = 0; m < k; ++m) {
-        const RpcRequest &req = group[m]->req;
-        runs[m] = {req.offset, req.batch, req.pageCount, req.pageLen};
-    }
-    hostfs::IoResult r = retryTransient(
-        fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-            return backend_->readRuns(group[0]->req.hostFd, runs.data(), k,
-                                      t0 + backoff, dev.id());
-        });
-    if (!ok(r.status)) {
-        // Gathered read refused (stale fd raced a close, or a host
-        // fault outlived the retry budget): fall back to serving each
-        // member alone so per-slot status stays exact — a member that
-        // still fails completes with its error IoResult and the
-        // requesting GPU restores the frames it claimed.
-        for (unsigned m = 0; m < k; ++m) {
-            RpcResponse resp = handle(port_idx, group[m]->req);
-            RpcQueue::complete(*group[m], resp);
-        }
-        return;
-    }
-    hostReadCalls.inc();
-    coalescedRpcs.inc(k - 1);
-    for (unsigned m = 0; m < k; ++m) {
-        if (group[m]->req.speculative)
-            raPagesFetched.inc(group[m]->req.pageCount);
-    }
-
-    // The gathered bytes ride ONE H2D DMA reservation (one setup cost);
-    // every member's completion fans back out with its own byte count.
-    Time done = chargeH2dDma(dev, r.bytes, r.done);
-    for (unsigned m = 0; m < k; ++m) {
-        RpcResponse resp;
-        resp.status = Status::Ok;
-        resp.bytes = runs[m].bytes;
-        resp.done = done;
-        RpcQueue::complete(*group[m], resp);
-    }
-}
-
 RpcResponse
 CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
 {
@@ -683,51 +668,24 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
     Time t0 = sim.cpuIo.reserve(ready, p.rpcCpuOverhead).end;
 
     RpcResponse resp;
+    resp.done = t0;
     switch (req.op) {
       case RpcOp::Open:
-        resp = handleOpen(dev, req);
-        resp.done = t0;
+        handleOpen(dev, req, resp);
         break;
       case RpcOp::Close:
-        resp = handleClose(dev, req);
-        resp.done = t0;
+        handleClose(dev, req, resp);
         break;
-      case RpcOp::ReadPage: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handleReadPage(dev, timed);
+      case RpcOp::ReadPage:
+      case RpcOp::ReadPages:
+      case RpcOp::PeerReadPages:
+        gpufs_assert(false, "reads are served by serviceRead");
         break;
-      }
-      case RpcOp::ReadPages: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handleReadPages(dev, timed);
+      case RpcOp::WriteBack:
+      case RpcOp::WritePages:
+      case RpcOp::PeerWritePages:
+        resp = serviceWrite(dev, req, t0);
         break;
-      }
-      case RpcOp::WriteBack: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handleWriteBack(dev, timed);
-        break;
-      }
-      case RpcOp::WritePages: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handleWritePages(dev, timed);
-        break;
-      }
-      case RpcOp::PeerReadPages: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handlePeerReadPages(dev, timed);
-        break;
-      }
-      case RpcOp::PeerWritePages: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handlePeerWritePages(dev, timed);
-        break;
-      }
       case RpcOp::Fsync: {
         uint64_t ino = 0;
         if (req.durableBarrier && journal_ && durableFd(req.hostFd, &ino)) {
@@ -736,14 +694,9 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
             // out first (same-sweep appends must be covered), then
             // answer from the commit record. No data-file fsync.
             journalCommitBarriers.inc();
-            Status js = flushJournalSync();
-            if (!ok(js)) {
-                resp.status = js;
-                resp.done = t0;
-                break;
-            }
-            resp.status = Status::Ok;
-            resp.done = std::max(t0, journal_->lastCommitDone(ino));
+            resp.status = flushJournalSync();
+            if (ok(resp.status))
+                resp.done = std::max(t0, journal_->lastCommitDone(ino));
         } else {
             hostfs::IoResult r = retryTransient(
                 fs, ioRetries, ioRetryGiveups,
@@ -765,7 +718,6 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
                 resp.version = info.version;
             }
         }
-        resp.done = t0;
         break;
       }
       case RpcOp::Unlink: {
@@ -776,7 +728,6 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
                 victim_->dropFile(info.ino);
         }
         resp.status = fs.unlink(req.path);
-        resp.done = t0;
         break;
       }
       case RpcOp::Stat: {
@@ -787,53 +738,46 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
             resp.size = info.size;
             resp.version = info.version;
         }
-        resp.done = t0;
         break;
       }
       case RpcOp::Nop:
-        resp.done = t0;
         break;
     }
     return resp;
 }
 
-RpcResponse
-CpuDaemon::handleOpen(gpu::GpuDevice &dev, const RpcRequest &req)
+void
+CpuDaemon::handleOpen(gpu::GpuDevice &dev, const RpcRequest &req,
+                      RpcResponse &resp)
 {
-    RpcResponse resp;
-    Status st;
-    int fd = fs.open(req.path, req.flags, &st);
-    if (fd < 0) {
-        resp.status = st;
-        return resp;
-    }
+    int fd = fs.open(req.path, req.flags, &resp.status);
+    if (fd < 0)
+        return;
     hostfs::FileInfo info;
     fs.fstat(fd, &info);
 
-    Status adm = consistency.acquireOpen(dev.id(), info.ino, req.wantsWrite,
-                                         req.mergeableWriter);
-    if (!ok(adm)) {
+    resp.status = consistency.acquireOpen(dev.id(), info.ino,
+                                          req.wantsWrite,
+                                          req.mergeableWriter);
+    if (!ok(resp.status)) {
         fs.close(fd);
-        resp.status = adm;
-        return resp;
+        return;
     }
     {
         std::lock_guard<std::mutex> lock(claimMtx);
         fdClaims[fd] = {info.ino, req.wantsWrite,
                         (req.flags & hostfs::O_GDURABLE_F) != 0};
     }
-    resp.status = Status::Ok;
     resp.hostFd = fd;
     resp.ino = info.ino;
     resp.size = info.size;
     resp.version = info.version;
-    return resp;
 }
 
-RpcResponse
-CpuDaemon::handleClose(gpu::GpuDevice &dev, const RpcRequest &req)
+void
+CpuDaemon::handleClose(gpu::GpuDevice &dev, const RpcRequest &req,
+                       RpcResponse &resp)
 {
-    RpcResponse resp;
     FdClaim claim{0, false, false};
     bool have_claim = false;
     {
@@ -848,43 +792,63 @@ CpuDaemon::handleClose(gpu::GpuDevice &dev, const RpcRequest &req)
     if (have_claim)
         consistency.releaseOpen(dev.id(), claim.ino, claim.write);
     resp.status = fs.close(req.hostFd);
-    return resp;
 }
 
-Time
-CpuDaemon::chargeH2dDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready)
-{
-    // Staging -> GPU: one DMA reservation on this GPU's H2D channel.
-    // Functionally the host read already placed the bytes (one copy in
-    // simulation).
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
-    bytesToGpu.inc(bytes);
-    // Zero-copy backends DMA straight into the frame arena — the read
-    // charge already covered the wire, so no second PCIe hop here.
-    if (bytes == 0 || !p.chargeDma || backend_->directToGpu())
-        return ready;
-    Time dur = p.dmaSetup + transferTime(bytes, p.pcieBwH2DMBps);
-    sim::Resource &channel =
-        p.serializeDmaWithIo ? sim.cpuIo : dev.pcieH2D();
-    return channel.reserve(ready, dur).end;
-}
+// ---- DMA charges -------------------------------------------------------
 
+namespace {
+
+/** One DMA of @p bytes on @p channel ready at @p ready: a setup cost
+ *  plus wire time, and nothing when Fig 5 turns DMA charging off. */
 Time
-CpuDaemon::chargeVictimH2d(gpu::GpuDevice &dev, uint64_t bytes, Time ready)
+reserveDma(sim::Resource &channel, const sim::HwParams &p, Time setup,
+           double mbps, uint64_t bytes, Time ready)
 {
-    // Victim-tier hit: host RAM -> GPU. No directToGpu() shortcut —
-    // gds DMAs STORAGE reads straight to the device, but these bytes
-    // sit in the pinned host pool and cross PCIe with any backend.
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
-    bytesToGpu.inc(bytes);
     if (bytes == 0 || !p.chargeDma)
         return ready;
-    Time dur = p.dmaSetup + transferTime(bytes, p.pcieBwH2DMBps);
-    sim::Resource &channel =
-        p.serializeDmaWithIo ? sim.cpuIo : dev.pcieH2D();
-    return channel.reserve(ready, dur).end;
+    return channel.reserve(ready, setup + transferTime(bytes, mbps)).end;
+}
+
+} // namespace
+
+Time
+CpuDaemon::chargeH2dDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready,
+                        bool from_storage)
+{
+    // Staging -> GPU on this GPU's own H2D channel (the bytes are
+    // already in place: one copy in simulation). Zero-copy backends DMA
+    // storage reads straight into the frame arena — their read charge
+    // covered the wire — but victim-tier bytes sit in the pinned host
+    // pool and cross PCIe with any backend.
+    const auto &p = dev.simContext().params;
+    bytesToGpu.inc(bytes);
+    if (from_storage && backend_->directToGpu())
+        return ready;
+    return reserveDma(dev.pcieH2D(), p, p.dmaSetup, p.pcieBwH2DMBps, bytes,
+                      ready);
+}
+
+Time
+CpuDaemon::chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
+                        uint64_t bytes, Time ready)
+{
+    // One reservation per request on the pair's own channel: peer
+    // transfers of different GPU pairs overlap instead of serializing
+    // on the daemon's cpuIo path or the host PCIe links.
+    auto &sim = dev.simContext();
+    bytesPeer.inc(bytes);
+    if (bytes == 0)
+        return ready;   // no pair channel to look up
+    return reserveDma(sim.p2p(src, dst), sim.params, sim.params.p2pDmaSetup,
+                      sim.params.pcieP2PBwMBps, bytes, ready);
+}
+
+PeerPageSource *
+CpuDaemon::peerSourceOf(const RpcRequest &req)
+{
+    if (req.peerGpu >= ports.size())
+        return nullptr;
+    return ports[req.peerGpu]->peerSource.load(std::memory_order_acquire);
 }
 
 bool
@@ -920,356 +884,286 @@ CpuDaemon::victimInvalidate(int host_fd, const hostfs::WriteRun *runs,
         victim_->invalidateRange(info.ino, runs[i].offset, runs[i].len);
 }
 
-RpcResponse
-CpuDaemon::handleReadPage(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    RpcResponse resp;
+// ---- read pipeline: plan -> gather -> issue -> fan-out -----------------
 
-    // Victim-tier probe before the storage backend: a demotion-staged
-    // page at the host's current version is served from host RAM with
-    // one H2D DMA — no host read call at all. Probing only aligned
-    // whole-page reads inside the file keeps the gate simple; anything
-    // else takes the normal path.
-    if (victim_ && req.len > 0 && req.offset % req.len == 0) {
-        hostfs::FileInfo info;
-        if (ok(fs.fstat(req.hostFd, &info)) && req.offset < info.size) {
-            uint64_t expect =
-                std::min<uint64_t>(req.len, info.size - req.offset);
-            Time vready = req.issueTime;
-            if (victim_->probe(info.ino, req.offset / req.len,
-                               info.version, req.data, expect,
-                               &vready)) {
-                resp.status = Status::Ok;
-                resp.bytes = expect;
-                resp.done = chargeVictimH2d(dev, expect, vready);
-                return resp;
-            }
-        }
-    }
+struct CpuDaemon::ReadPlan {
+    /** Where one page is served from. */
+    enum Source : uint8_t { Storage, Victim, Peer };
+    /** Bytes one source moves to the GPU, and when that DMA may start. */
+    struct Leg {
+        uint64_t bytes = 0;
+        Time ready = 0;
+    };
 
-    // Host file -> staging: the daemon's pread, serialized on cpuIo.
-    hostfs::IoResult r = retryTransient(
-        fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-            return backend_->read(req.hostFd, req.data, req.len, req.offset,
-                                  req.issueTime + backoff, dev.id());
-        });
-    hostReadCalls.inc();
-    resp.status = r.status;
-    resp.bytes = r.bytes;
-    resp.done = chargeH2dDma(dev, r.bytes, r.done);
-    return resp;
-}
-
-RpcResponse
-CpuDaemon::handleReadPages(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    RpcResponse resp;
-    if (req.pageCount == 0 || req.pageCount > kMaxBatchPages) {
-        resp.status = Status::Inval;
-        resp.done = req.issueTime;
-        return resp;
-    }
-
-    // Victim-tier probe: serve whatever pages the tier holds at the
-    // host's current version from host RAM, and read only the
-    // remaining contiguous miss-runs from storage. Zero hits falls
-    // through to the legacy single-vectored-read path unchanged.
-    if (victim_ && req.pageLen > 0 && req.offset % req.pageLen == 0) {
-        hostfs::FileInfo info;
-        if (ok(fs.fstat(req.hostFd, &info))) {
-            const uint64_t plen = req.pageLen;
-            const uint64_t first = req.offset / plen;
-            bool hit[kMaxBatchPages] = {};
-            uint64_t expect[kMaxBatchPages];
-            uint64_t hit_bytes = 0;
-            Time vready = req.issueTime;
-            unsigned hits = 0;
-            for (unsigned i = 0; i < req.pageCount; ++i) {
-                uint64_t off = req.offset + uint64_t(i) * plen;
-                expect[i] = off < info.size
-                    ? std::min<uint64_t>(plen, info.size - off) : 0;
-                if (expect[i] == 0)
-                    continue;
-                if (victim_->probe(info.ino, first + i, info.version,
-                                   req.batch[i], expect[i], &vready)) {
-                    hit[i] = true;
-                    hit_bytes += expect[i];
-                    ++hits;
-                }
-            }
-            if (hits > 0) {
-                if (req.speculative)
-                    raPagesFetched.inc(req.pageCount);
-                Time done = req.issueTime;
-                uint64_t total = hit_bytes;
-                unsigned i = 0;
-                while (i < req.pageCount) {
-                    if (hit[i] || expect[i] == 0) {
-                        ++i;
-                        continue;
-                    }
-                    unsigned run = i;
-                    while (run < req.pageCount && !hit[run] &&
-                           expect[run] != 0) {
-                        ++run;
-                    }
-                    hostfs::IoResult r = retryTransient(
-                        fs, ioRetries, ioRetryGiveups,
-                        [&](Time backoff) {
-                            return backend_->readPages(
-                                req.hostFd, &req.batch[i], run - i, plen,
-                                req.offset + uint64_t(i) * plen,
-                                req.issueTime + backoff, dev.id());
-                        });
-                    hostReadCalls.inc();
-                    if (!ok(r.status)) {
-                        resp.status = r.status;
-                        resp.done = done;
-                        return resp;
-                    }
-                    total += r.bytes;
-                    done = std::max(done,
-                                    chargeH2dDma(dev, r.bytes, r.done));
-                    i = run;
-                }
-                done = std::max(done,
-                                chargeVictimH2d(dev, hit_bytes, vready));
-                resp.status = Status::Ok;
-                resp.bytes = total;
-                resp.done = done;
-                return resp;
-            }
-        }
-    }
-
-    // Host file -> staging: ONE vectored pread for the whole extent,
-    // serialized on cpuIo — the per-request CPU overhead was already
-    // charged once per batch by handle(), which is the point of
-    // batching (amortizing GPU->CPU request costs). The batch then
-    // rides ONE DMA reservation (a single setup cost).
-    if (req.speculative)
-        raPagesFetched.inc(req.pageCount);
-    hostfs::IoResult r = retryTransient(
-        fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-            return backend_->readPages(req.hostFd, req.batch, req.pageCount,
-                                       req.pageLen, req.offset,
-                                       req.issueTime + backoff, dev.id());
-        });
-    hostReadCalls.inc();
-    resp.status = r.status;
-    resp.bytes = r.bytes;
-    resp.done = chargeH2dDma(dev, r.bytes, r.done);
-    return resp;
-}
-
-PeerPageSource *
-CpuDaemon::peerSourceOf(const RpcRequest &req)
-{
-    if (req.peerGpu >= ports.size())
-        return nullptr;
-    return ports[req.peerGpu]->peerSource.load(std::memory_order_acquire);
-}
-
-Time
-CpuDaemon::chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
-                        uint64_t bytes, Time ready)
-{
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
-    bytesPeer.inc(bytes);
-    if (bytes == 0 || !p.chargeDma)
-        return ready;
-    Time dur = p.p2pDmaSetup + transferTime(bytes, p.pcieP2PBwMBps);
-    // One reservation per request on the pair's own channel: peer
-    // transfers of different GPU pairs overlap instead of serializing
-    // on the daemon's cpuIo path or the host PCIe links.
-    return sim.p2p(src, dst).reserve(ready, dur).end;
-}
-
-RpcResponse
-CpuDaemon::handlePeerReadPages(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    RpcResponse resp;
-    if (req.pageCount == 0 || req.pageCount > kMaxBatchPages ||
-        req.pageLen == 0) {
-        resp.status = Status::Inval;
-        resp.done = req.issueTime;
-        return resp;
-    }
-    peerReadRpcs.inc();
-    if (req.speculative)
-        raPagesFetched.inc(req.pageCount);
-    PeerPageSource *src = peerSourceOf(req);
-    const uint64_t plen = req.pageLen;
-    const Time t0 = req.issueTime;
-
-    // First pass: serve what the owner holds. The copy itself is
-    // functional (the provider pins the owner frame for its duration);
-    // the virtual cost is one P2P DMA reservation covering the served
-    // bytes, ready no earlier than the latest source frame's own
-    // DMA-completion time.
-    bool served[kMaxBatchPages] = {};
+    RpcSlot *slot = nullptr;
+    /** Pages, page size and page buffers: ReadPage is a one-page
+     *  batch. */
+    unsigned n = 0;
+    uint64_t plen = 0;
+    uint8_t *const *dst = nullptr;
+    Source src[kMaxBatchPages] = {};
+    /** Bytes of file content each page received. */
     uint32_t valid[kMaxBatchPages] = {};
-    uint64_t p2p_bytes = 0;
-    Time p2p_ready = t0;
+    PeerPageSource *peer = nullptr;
     unsigned forwarded = 0;
-    for (unsigned i = 0; i < req.pageCount; ++i) {
-        uint64_t idx = req.offset / plen + i;
-        if (src && src->peerCopyPage(req.ino, idx, req.version,
-                                     req.batch[i], &valid[i],
-                                     &p2p_ready)) {
-            served[i] = true;
-            p2p_bytes += plen;
-            ++forwarded;
-        }
-    }
+    Leg leg[3];
+    /** Gathered storage runs, in page order. */
+    hostfs::ReadRun runs[kMaxBatchPages];
+    unsigned nRuns = 0;
+    Time done = 0;
+};
 
-    // Victim-tier pass: pages the owner declined may still sit staged
-    // in host RAM from an earlier demotion — serve those with one H2D
-    // charge instead of joining the storage fallback below. Gated on
-    // the host's CURRENT version like every probe.
-    uint64_t vc_bytes = 0;
-    Time vc_ready = t0;
-    if (victim_ && req.offset % plen == 0) {
-        hostfs::FileInfo vinfo;
-        if (ok(fs.fstat(req.hostFd, &vinfo))) {
-            for (unsigned j = 0; j < req.pageCount; ++j) {
-                if (served[j])
-                    continue;
-                uint64_t off = req.offset + uint64_t(j) * plen;
-                if (off >= vinfo.size)
-                    continue;
-                uint64_t expect =
-                    std::min<uint64_t>(plen, vinfo.size - off);
-                if (victim_->probe(vinfo.ino, off / plen, vinfo.version,
-                                   req.batch[j], expect, &vc_ready)) {
-                    served[j] = true;
-                    valid[j] = static_cast<uint32_t>(expect);
-                    vc_bytes += expect;
-                }
+void
+CpuDaemon::planRead(ReadPlan &pl, RpcSlot *slot, bool solo, Time t0)
+{
+    const RpcRequest &req = slot->req;
+    const bool one_page = req.op == RpcOp::ReadPage;
+    pl.slot = slot;
+    pl.n = one_page ? 1 : req.pageCount;
+    pl.plen = one_page ? req.len : req.pageLen;
+    pl.dst = one_page ? &req.data : req.batch;
+    pl.done = t0;
+    for (ReadPlan::Leg &leg : pl.leg)
+        leg.ready = t0;
+
+    // 1. The owner GPU's resident frames (PeerReadPages). The copy is
+    //    functional (the provider pins the owner frame for its
+    //    duration); its cost is one P2P DMA, ready no earlier than the
+    //    latest source frame's own DMA-completion time.
+    if (req.op == RpcOp::PeerReadPages) {
+        peerReadRpcs.inc();
+        pl.peer = peerSourceOf(req);
+        for (unsigned i = 0; pl.peer && i < pl.n; ++i) {
+            if (pl.peer->peerCopyPage(req.ino, req.offset / pl.plen + i,
+                                      req.version, pl.dst[i], &pl.valid[i],
+                                      &pl.leg[ReadPlan::Peer].ready)) {
+                pl.src[i] = ReadPlan::Peer;
+                pl.leg[ReadPlan::Peer].bytes += pl.plen;
+                ++pl.forwarded;
             }
         }
     }
 
-    // Second pass: host fallback for the runs the owner could not
-    // serve — each contiguous run is one vectored pread on the
-    // daemon's serialized I/O path, exactly the ReadPages charge.
-    Time host_done = t0;
-    uint64_t host_bytes = 0;
-    unsigned i = 0;
-    while (i < req.pageCount) {
-        if (served[i]) {
+    // 2. The victim tier: demotion-staged pages at the host's CURRENT
+    //    version, served from host RAM with one H2D. Probed only for
+    //    page-aligned requests, and not for sweep-group members (the
+    //    group reads them from storage with the rest).
+    uint64_t eof = UINT64_MAX;  // unknown unless fstat'ed here
+    hostfs::FileInfo info;
+    if (solo && victim_ && pl.plen > 0 && req.offset % pl.plen == 0 &&
+        ok(fs.fstat(req.hostFd, &info))) {
+        eof = info.size;
+        for (unsigned i = 0; i < pl.n; ++i) {
+            uint64_t off = req.offset + uint64_t(i) * pl.plen;
+            if (pl.src[i] != ReadPlan::Storage || off >= info.size)
+                continue;
+            uint64_t expect = std::min<uint64_t>(pl.plen, info.size - off);
+            if (victim_->probe(info.ino, off / pl.plen, info.version,
+                               pl.dst[i], expect,
+                               &pl.leg[ReadPlan::Victim].ready)) {
+                pl.src[i] = ReadPlan::Victim;
+                pl.valid[i] = static_cast<uint32_t>(expect);
+                pl.leg[ReadPlan::Victim].bytes += expect;
+            }
+        }
+    }
+
+    // 3. Storage for the rest, each maximal run of pages one extent.
+    //    A run starting past a known EOF would read nothing and is
+    //    left out — unless it is the whole request, which still asks
+    //    storage for its (0-byte) answer.
+    for (unsigned i = 0; i < pl.n;) {
+        if (pl.src[i] != ReadPlan::Storage) {
             ++i;
             continue;
         }
-        unsigned run = i;
-        while (run < req.pageCount && !served[run])
-            ++run;
+        unsigned end = i + 1;
+        while (end < pl.n && pl.src[end] == ReadPlan::Storage)
+            ++end;
+        uint64_t off = req.offset + uint64_t(i) * pl.plen;
+        if (off < eof || end - i == pl.n)
+            pl.runs[pl.nRuns++] = {off, &pl.dst[i], end - i, pl.plen};
+        i = end;
+    }
+}
+
+void
+CpuDaemon::serviceRead(unsigned port_idx, RpcSlot **slots, unsigned k)
+{
+    gpu::GpuDevice &dev = *ports[port_idx]->dev;
+    auto &sim = dev.simContext();
+    const auto &p = sim.params;
+
+    // Every request pays queue-submit latency plus the daemon's
+    // per-request handling on the (single) host CPU it is pinned to.
+    // A sweep group is ONE daemon action: it starts once the LAST
+    // member has crossed the queue and pays one rpcCpuOverhead.
+    Time ready = 0;
+    for (unsigned m = 0; m < k; ++m)
+        ready = std::max(ready, slots[m]->req.issueTime);
+    const Time t0 =
+        sim.cpuIo.reserve(ready + p.rpcSubmitLat, p.rpcCpuOverhead).end;
+    if (!batchOk(slots[0]->req)) {
+        RpcResponse resp;
+        resp.status = Status::Inval;
+        resp.done = t0;
+        RpcQueue::complete(*slots[0], resp);
+        return;
+    }
+    std::vector<ReadPlan> plans(k);
+    for (unsigned m = 0; m < k; ++m)
+        planRead(plans[m], slots[m], k == 1, t0);
+
+    // Issue: storage call j carries the j-th run of every plan, so a
+    // sweep group's members share ONE gathered read (and one H2D),
+    // while a request whose storage pages are split by victim or peer
+    // pages issues one call per run, as separate preads would. All
+    // runs are on one host fd (group members share it).
+    const int fd = slots[0]->req.hostFd;
+    for (unsigned j = 0;; ++j) {
+        hostfs::ReadRun call[2 * kQueueSlots];
+        ReadPlan *of[2 * kQueueSlots];
+        unsigned c = 0;
+        for (ReadPlan &pl : plans) {
+            if (j < pl.nRuns) {
+                of[c] = &pl;
+                call[c++] = pl.runs[j];
+            }
+        }
+        if (c == 0)
+            break;
         hostfs::IoResult r = retryTransient(
             fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return backend_->readPages(
-                    req.hostFd, &req.batch[i], run - i, plen,
-                    req.offset + uint64_t(i) * plen, t0 + backoff,
-                    dev.id());
+                return backend_->readRuns(fd, call, c, t0 + backoff,
+                                          dev.id());
             });
+        hostReadCalls.inc();
+        if (!ok(r.status) && k > 1) {
+            // Gathered read refused (stale fd raced a close, or a host
+            // fault outlived the retry budget): serve each member
+            // alone so per-slot status stays exact.
+            for (unsigned m = 0; m < k; ++m)
+                serviceRead(port_idx, &slots[m], 1);
+            return;
+        }
         if (!ok(r.status)) {
+            // The requesting GPU restores the frames it claimed.
+            RpcResponse resp;
             resp.status = r.status;
-            resp.done = host_done;
-            return resp;
+            resp.done = std::max(plans[0].done, r.done);
+            if (slots[0]->req.speculative)
+                raPagesFetched.inc(plans[0].n);
+            RpcQueue::complete(*slots[0], resp);
+            return;
         }
-        for (unsigned j = i; j < run; ++j) {
-            uint64_t base = uint64_t(j - i) * plen;
-            valid[j] = static_cast<uint32_t>(
-                r.bytes > base ? std::min<uint64_t>(plen, r.bytes - base)
-                               : 0);
-        }
-        // Owner warming: the fallback read these bytes BECAUSE the
-        // owner was cold — adopt them into the owner's cache in the
-        // same RPC (best effort: try-locks, free frames above the
-        // claim reserve, the faulting tenant under its quota), so a
-        // repeat miss on the page forwards peer-to-peer instead of
-        // paying the storage round trip again.
-        if (src) {
-            for (unsigned j = i; j < run; ++j) {
-                if (valid[j] == 0)
-                    continue;
-                if (src->peerAdoptPage(req.ino, req.offset / plen + j,
-                                       req.version, req.batch[j],
-                                       valid[j], r.done, req.tenant)) {
+        const bool peer_read = of[0]->slot->req.op == RpcOp::PeerReadPages;
+        const Time dma = peer_read ? r.done
+                                   : chargeH2dDma(dev, r.bytes, r.done, true);
+        for (unsigned i = 0; i < c; ++i) {
+            ReadPlan &pl = *of[i];
+            const RpcRequest &req = pl.slot->req;
+            const unsigned first = static_cast<unsigned>(call[i].dsts - pl.dst);
+            for (unsigned q = first; q < first + call[i].nPages; ++q) {
+                uint64_t base = uint64_t(q - first) * pl.plen;
+                pl.valid[q] = static_cast<uint32_t>(
+                    call[i].bytes > base
+                        ? std::min<uint64_t>(pl.plen, call[i].bytes - base)
+                        : 0);
+                // Owner warming: the fallback read these bytes BECAUSE
+                // the owner was cold — adopt them into the owner's
+                // cache (best effort: try-locks, free frames above the
+                // claim reserve, the faulting tenant under its quota),
+                // so a repeat miss forwards peer-to-peer instead of
+                // paying the storage round trip again.
+                if (peer_read && pl.peer && pl.valid[q] != 0 &&
+                    pl.peer->peerAdoptPage(req.ino, req.offset / pl.plen + q,
+                                           req.version, pl.dst[q],
+                                           pl.valid[q], r.done, req.tenant)) {
                     peerPagesAdopted.inc();
                 }
             }
+            ReadPlan::Leg &storage = pl.leg[ReadPlan::Storage];
+            storage.bytes += call[i].bytes;
+            storage.ready = std::max(storage.ready, r.done);
+            pl.done = std::max(pl.done, dma);
         }
-        host_bytes += r.bytes;
-        host_done = std::max(host_done, r.done);
-        i = run;
-    }
-    peerPagesForwarded.inc(forwarded);
-    peerPagesHost.inc(req.pageCount - forwarded);
-
-    Time done = t0;
-    if (host_bytes > 0)
-        done = std::max(done, chargeH2dDma(dev, host_bytes, host_done));
-    if (vc_bytes > 0)
-        done = std::max(done, chargeVictimH2d(dev, vc_bytes, vc_ready));
-    if (p2p_bytes > 0) {
-        done = std::max(done, chargeP2pDma(dev, req.peerGpu, req.gpuId,
-                                           p2p_bytes, p2p_ready));
     }
 
-    // Valid bytes are contiguous from the batch start (short pages
-    // only at EOF — the provider declines anything else), so a single
-    // total preserves the ReadPages response contract.
-    uint64_t total_valid = 0;
-    for (unsigned j = 0; j < req.pageCount; ++j)
-        total_valid += valid[j];
-    resp.status = Status::Ok;
-    resp.bytes = total_valid;
-    resp.peerPages = forwarded;
-    resp.done = done;
-    return resp;
+    // Fan-out: one DMA per remaining source (a peer read's storage
+    // fallback rides one H2D for all its runs), then every slot
+    // completes with its own byte count.
+    for (ReadPlan &pl : plans) {
+        const RpcRequest &req = pl.slot->req;
+        const ReadPlan::Leg *leg = pl.leg;
+        RpcResponse resp;
+        if (req.op == RpcOp::PeerReadPages) {
+            pl.done = std::max(pl.done,
+                               chargeH2dDma(dev, leg[ReadPlan::Storage].bytes,
+                                            leg[ReadPlan::Storage].ready,
+                                            true));
+            peerPagesForwarded.inc(pl.forwarded);
+            peerPagesHost.inc(pl.n - pl.forwarded);
+        }
+        pl.done = std::max(pl.done,
+                           chargeH2dDma(dev, leg[ReadPlan::Victim].bytes,
+                                        leg[ReadPlan::Victim].ready, false));
+        pl.done = std::max(pl.done,
+                           chargeP2pDma(dev, req.peerGpu, req.gpuId,
+                                        leg[ReadPlan::Peer].bytes,
+                                        leg[ReadPlan::Peer].ready));
+        if (req.speculative)
+            raPagesFetched.inc(pl.n);
+        // Valid bytes are contiguous from the batch start (short pages
+        // only at EOF), so one total is the whole response contract.
+        for (unsigned i = 0; i < pl.n; ++i)
+            resp.bytes += pl.valid[i];
+        resp.peerPages = pl.forwarded;
+        resp.done = pl.done;
+        RpcQueue::complete(*pl.slot, resp);
+    }
+    coalescedRpcs.inc(k - 1);
 }
 
+// ---- write pipeline --------------------------------------------------
+
 RpcResponse
-CpuDaemon::handlePeerWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
+CpuDaemon::serviceWrite(gpu::GpuDevice &dev, const RpcRequest &req, Time t0)
 {
     auto &sim = dev.simContext();
     RpcResponse resp;
-    if (req.pageCount == 0 || req.pageCount > kMaxBatchPages ||
-        req.pageLen == 0) {
+    resp.done = t0;
+    if (!batchOk(req)) {
         resp.status = Status::Inval;
-        resp.done = req.issueTime;
         return resp;
     }
-    peerWriteRpcs.inc();
-    PeerPageSource *src = peerSourceOf(req);
-    const uint64_t plen = req.pageLen;
+    const bool peer_write = req.op == RpcOp::PeerWritePages;
+    if (peer_write)
+        peerWriteRpcs.inc();
 
-    // Host write-through FIRST: the whole batch rides ONE D2H DMA and
-    // lands as ONE gathered pwritev — identical durability and version
-    // semantics to plain WritePages (the PR-2 machinery above this op
-    // is untouched). Mirroring happens only after the bytes are
-    // durable: a failed host write must not leave the owner's cache
-    // holding never-durable bytes at a still-matching version.
+    // GPU pages -> staging: the whole request rides ONE D2H DMA
+    // reservation (a single setup cost) — the per-request CPU overhead
+    // was charged once by handle(), which is the point of batching.
+    hostfs::WriteRun ext[kMaxBatchPages];
+    const unsigned n = extentsOf(req, ext);
     uint64_t total = 0;
-    for (unsigned i = 0; i < req.pageCount; ++i)
-        total += req.batchLen[i];
-    Time t = chargeD2hDma(dev, total, req.issueTime);
-
-    std::vector<hostfs::WriteRun> runs;
-    runs.reserve(req.pageCount);
-    for (unsigned i = 0; i < req.pageCount; ++i) {
-        if (req.batchLen[i] == 0)
-            continue;
-        runs.push_back({req.batchOff[i], req.batchLen[i], req.batch[i]});
-    }
-    resp.status = Status::Ok;
+    for (unsigned i = 0; i < n; ++i)
+        total += ext[i].len;
+    const auto &p = sim.params;
+    Time t = backend_->directToGpu()
+        ? t0 : reserveDma(dev.pcieD2H(), p, p.dmaSetup, p.pcieBwD2HMBps,
+                          total, t0);
     resp.done = t;
-    uint64_t new_version = 0;
-    if (!runs.empty()) {
+
+    // Every run lands through ONE gathered pwritev after its journal
+    // commit: one syscall charge, one version bump. For PeerWritePages
+    // the host write comes FIRST — a failed host write must not leave
+    // the owner's cache holding never-durable bytes at a
+    // still-matching version.
+    std::vector<hostfs::WriteRun> runs = writeRunsOf(req);
+    const unsigned nruns = static_cast<unsigned>(runs.size());
+    if (nruns > 0) {
         bool journaled = false;
-        Status js = maybeJournal(req.hostFd, runs.data(),
-                                 static_cast<unsigned>(runs.size()), t,
+        Status js = maybeJournal(req.hostFd, runs.data(), nruns, t,
                                  &sim.cpuIo, &journaled);
         if (!ok(js)) {
             resp.status = js;
@@ -1278,50 +1172,49 @@ CpuDaemon::handlePeerWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
         }
         hostfs::IoResult w = retryTransient(
             fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return backend_->writev(req.hostFd, runs.data(),
-                                        static_cast<unsigned>(runs.size()),
+                return backend_->writev(req.hostFd, runs.data(), nruns,
                                         t + backoff, dev.id());
             });
+        resp.done = w.done;
         if (!ok(w.status)) {
             resp.status = w.status;
             return resp;
         }
         journalApplied(journaled);
-        victimInvalidate(req.hostFd, runs.data(),
-                         static_cast<unsigned>(runs.size()));
+        victimInvalidate(req.hostFd, runs.data(), nruns);
         resp.bytes = w.bytes;
+        // The post-write version, so the writing GPU keeps its cached
+        // version current (its own writes are not remote changes).
         resp.version = w.version;
-        resp.done = w.done;
-        new_version = w.version;
     }
+    bytesFromGpu.inc(total);
+    if (!peer_write)
+        return resp;
 
     // Mirror the now-durable extents into the owner's resident pages
-    // (the requester's takeDirtyBatch holds the source fpage locks, so
-    // the bytes are stable): the owner's copy then matches the
-    // post-write host content, and later peer reads keep serving
-    // current data instead of failing their version gate. The mirror
-    // bytes ride the pair's P2P channel.
+    // (the requester holds the source pages, so the bytes are stable):
+    // later peer reads then keep serving current data instead of
+    // failing their version gate. The mirror bytes ride the pair's P2P
+    // channel.
+    PeerPageSource *src = peerSourceOf(req);
     unsigned mirrored = 0;
     unsigned nonzero = 0;
     uint64_t p2p_bytes = 0;
-    for (unsigned i = 0; i < req.pageCount; ++i) {
-        if (req.batchLen[i] == 0)
+    for (unsigned i = 0; i < n; ++i) {
+        if (ext[i].len == 0)
             continue;
         ++nonzero;
-        uint64_t idx = req.batchOff[i] / plen;
-        uint32_t in_page = static_cast<uint32_t>(req.batchOff[i] % plen);
-        if (src && src->peerMirrorExtent(req.ino, idx, req.version,
-                                         in_page, req.batch[i],
-                                         req.batchLen[i])) {
+        uint32_t len = static_cast<uint32_t>(ext[i].len);
+        if (src && src->peerMirrorExtent(
+                       req.ino, ext[i].offset / req.pageLen, req.version,
+                       static_cast<uint32_t>(ext[i].offset % req.pageLen),
+                       ext[i].data, len)) {
             ++mirrored;
-            p2p_bytes += req.batchLen[i];
+            p2p_bytes += len;
         }
     }
-    if (p2p_bytes > 0) {
-        resp.done = std::max(resp.done,
-                             chargeP2pDma(dev, req.gpuId, req.peerGpu,
-                                          p2p_bytes, req.issueTime));
-    }
+    resp.done = std::max(resp.done, chargeP2pDma(dev, req.gpuId, req.peerGpu,
+                                                 p2p_bytes, t0));
     // A fully-mirrored batch leaves the owner's cache equal to the
     // post-write host content, so the owner's version advances with
     // the write instead of going stale — but only when the requester
@@ -1329,205 +1222,12 @@ CpuDaemon::handlePeerWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
     // when sibling partitions changed other pages of the same file in
     // the same flush, the owner may cache those pages too and a
     // publish would wrongly validate them.
-    if (src && req.peerPublish && new_version != 0 &&
+    if (src && req.peerPublish && resp.version != 0 &&
         mirrored == nonzero && nonzero > 0) {
-        src->peerPublishVersion(req.ino, req.version, new_version);
+        src->peerPublishVersion(req.ino, req.version, resp.version);
     }
     peerExtentsMirrored.inc(mirrored);
-    bytesFromGpu.inc(total);
     resp.peerPages = mirrored;
-    return resp;
-}
-
-Time
-CpuDaemon::chargeD2hDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready)
-{
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
-    if (bytes == 0 || !p.chargeDma || backend_->directToGpu())
-        return ready;
-    Time dur = p.dmaSetup + transferTime(bytes, p.pcieBwD2HMBps);
-    sim::Resource &channel =
-        p.serializeDmaWithIo ? sim.cpuIo : dev.pcieD2H();
-    return channel.reserve(ready, dur).end;
-}
-
-namespace {
-
-/**
- * O_GWRONCE: the pristine copy is implicitly all zeros, so the
- * locally-modified bytes are exactly the non-zero ones. Append maximal
- * non-zero runs of [data, data+len) (landing at file offset @p off) so
- * concurrent writers to other regions of the same page are not
- * reverted (§3.1).
- */
-void
-appendZeroDiffRuns(std::vector<hostfs::WriteRun> &runs, uint64_t off,
-                   const uint8_t *data, uint64_t len)
-{
-    uint64_t i = 0;
-    while (i < len) {
-        while (i < len && data[i] == 0)
-            ++i;
-        uint64_t run = i;
-        while (run < len && data[run] != 0)
-            ++run;
-        if (run > i)
-            runs.push_back({off + i, run - i, data + i});
-        i = run;
-    }
-}
-
-} // namespace
-
-RpcResponse
-CpuDaemon::handleWriteBack(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    auto &sim = dev.simContext();
-    RpcResponse resp;
-
-    // GPU page -> staging: DMA on the D2H channel.
-    Time t = chargeD2hDma(dev, req.len, req.issueTime);
-
-    uint64_t written = 0;
-    uint64_t version = 0;
-    if (req.diffAgainstZeros) {
-        // The non-zero runs land as ONE gathered pwritev: a single
-        // syscall charge on the daemon's I/O path and a single version
-        // bump — never per-run overhead or per-run version churn.
-        std::vector<hostfs::WriteRun> runs;
-        appendZeroDiffRuns(runs, req.offset, req.data, req.len);
-        if (!runs.empty()) {
-            bool journaled = false;
-            Status js = maybeJournal(req.hostFd, runs.data(),
-                                     static_cast<unsigned>(runs.size()), t,
-                                     &sim.cpuIo, &journaled);
-            if (!ok(js)) {
-                resp.status = js;
-                resp.done = t;
-                return resp;
-            }
-            hostfs::IoResult w = retryTransient(
-                fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                    return backend_->writev(
-                        req.hostFd, runs.data(),
-                        static_cast<unsigned>(runs.size()), t + backoff,
-                        dev.id());
-                });
-            if (!ok(w.status)) {
-                resp.status = w.status;
-                resp.done = t;
-                return resp;
-            }
-            journalApplied(journaled);
-            victimInvalidate(req.hostFd, runs.data(),
-                             static_cast<unsigned>(runs.size()));
-            written = w.bytes;
-            version = w.version;
-            t = w.done;
-        }
-    } else {
-        hostfs::WriteRun run{req.offset, req.len, req.data};
-        bool journaled = false;
-        Status js = maybeJournal(req.hostFd, &run, 1, t, &sim.cpuIo,
-                                 &journaled);
-        if (!ok(js)) {
-            resp.status = js;
-            resp.done = t;
-            return resp;
-        }
-        hostfs::IoResult w = retryTransient(
-            fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return backend_->write(req.hostFd, req.data, req.len,
-                                       req.offset, t + backoff, dev.id());
-            });
-        if (!ok(w.status)) {
-            resp.status = w.status;
-            resp.done = w.done;
-            return resp;
-        }
-        journalApplied(journaled);
-        victimInvalidate(req.hostFd, &run, 1);
-        written = w.bytes;
-        version = w.version;
-        t = w.done;
-    }
-    bytesFromGpu.inc(req.len);
-    resp.status = Status::Ok;
-    resp.bytes = written;
-    resp.done = t;
-    // Report the post-write version so the writing GPU can keep its
-    // cached version current (its own writes are not "remote" changes).
-    resp.version = version;
-    return resp;
-}
-
-RpcResponse
-CpuDaemon::handleWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    auto &sim = dev.simContext();
-    RpcResponse resp;
-    if (req.pageCount == 0 || req.pageCount > kMaxBatchPages) {
-        resp.status = Status::Inval;
-        resp.done = req.issueTime;
-        return resp;
-    }
-
-    // GPU pages -> staging: the whole batch rides ONE D2H DMA
-    // reservation (a single setup cost) — the per-request CPU overhead
-    // was already charged once per batch by handle(), which is the
-    // point of batching (amortizing GPU->CPU request costs).
-    uint64_t total = 0;
-    for (unsigned i = 0; i < req.pageCount; ++i)
-        total += req.batchLen[i];
-    Time t = chargeD2hDma(dev, total, req.issueTime);
-
-    // Every extent lands through ONE gathered pwritev: one syscall
-    // charge on the daemon's serialized I/O path, one version bump —
-    // the write twin of ReadPages' single vectored preadPages.
-    std::vector<hostfs::WriteRun> runs;
-    runs.reserve(req.pageCount);
-    for (unsigned i = 0; i < req.pageCount; ++i) {
-        if (req.batchLen[i] == 0)
-            continue;
-        if (req.diffAgainstZeros) {
-            appendZeroDiffRuns(runs, req.batchOff[i], req.batch[i],
-                               req.batchLen[i]);
-        } else {
-            runs.push_back({req.batchOff[i], req.batchLen[i],
-                            req.batch[i]});
-        }
-    }
-    resp.status = Status::Ok;
-    resp.done = t;
-    if (!runs.empty()) {
-        bool journaled = false;
-        Status js = maybeJournal(req.hostFd, runs.data(),
-                                 static_cast<unsigned>(runs.size()), t,
-                                 &sim.cpuIo, &journaled);
-        if (!ok(js)) {
-            resp.status = js;
-            resp.done = t;
-            return resp;
-        }
-        hostfs::IoResult w = retryTransient(
-            fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return backend_->writev(req.hostFd, runs.data(),
-                                        static_cast<unsigned>(runs.size()),
-                                        t + backoff, dev.id());
-            });
-        if (!ok(w.status)) {
-            resp.status = w.status;
-            return resp;
-        }
-        journalApplied(journaled);
-        victimInvalidate(req.hostFd, runs.data(),
-                         static_cast<unsigned>(runs.size()));
-        resp.bytes = w.bytes;
-        resp.version = w.version;
-        resp.done = w.done;
-    }
-    bytesFromGpu.inc(total);
     return resp;
 }
 

@@ -86,9 +86,8 @@ class CpuDaemon
 
     /**
      * Install (or clear, with nullptr) the machine-wide host-RAM
-     * victim tier. Must be called before start(). Miss reads
-     * (ReadPage, ReadPages, the aggregation sweep, the peer-read host
-     * fallback) then probe the tier before the storage backend, gated
+     * victim tier. Must be called before start(). The read pipeline
+     * then probes the tier before the storage backend, gated
      * on the host's CURRENT file version from fstat — write-through
      * mirrors and journal replay bump the version, so stale bytes are
      * dropped, never served. A victim hit is a plain H2D DMA charge
@@ -104,7 +103,7 @@ class CpuDaemon
      * @p gpu_id used to service PeerReadPages / PeerWritePages.
      * Callable while the daemon runs — the owner publishes the source
      * after the GpuFs exists and clears it before teardown, and the
-     * handler tolerates a null source by falling back to the host
+     * pipeline tolerates a null source by falling back to the host
      * path.
      */
     void setPeerSource(unsigned gpu_id, PeerPageSource *src);
@@ -188,9 +187,10 @@ class CpuDaemon
     Counter &raPagesFetched;
     /** Cross-slot aggregation: ReadPages requests that rode a
      *  same-sweep same-file group instead of their own host read
-     *  (k-grouped sweeps add k-1), and the host read calls actually
-     *  issued for ReadPage/ReadPages service — aggregation shows as
-     *  host_read_calls falling below the served request count. */
+     *  (k-grouped sweeps add k-1), and the storage read calls the
+     *  read pipeline actually issued, failed ones and peer fallbacks
+     *  included — aggregation shows as host_read_calls falling below
+     *  the served request count. */
     Counter &coalescedRpcs;
     Counter &hostReadCalls;
     /** Transient host-I/O faults absorbed by bounded retry+backoff,
@@ -228,7 +228,7 @@ class CpuDaemon
      *  replay exists for, and truncating it would lose the bytes. */
     std::atomic<uint64_t> journalUnapplied_{0};
 
-    /** Storage backend the read/write-back handlers route through
+    /** Storage backend the read and write pipelines route through
      *  (BufferedBackend until setStorageBackend, never null). */
     std::unique_ptr<storage::StorageBackend> backend_;
 
@@ -248,31 +248,46 @@ class CpuDaemon
      * Service one pollAll sweep of @p port_idx in issue-time order,
      * coalescing different slots' concurrent ReadPages on the same
      * host file into one gathered host read (cross-block RPC
-     * aggregation); everything else routes through handle() exactly
-     * as before. Completes every slot and counts requestsServed.
+     * aggregation). Reads go to serviceRead, everything else through
+     * handle(). Completes every slot and counts requestsServed.
      */
     void serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n);
 
+    /** A read request resolved page by page (defined in daemon.cc). */
+    struct ReadPlan;
+
     /**
-     * Service @p k same-file ReadPages slots from one sweep as a
-     * group: one CPU-overhead reservation, one gathered
-     * HostFs::preadRuns, one H2D DMA of the total bytes — completions
-     * fan back to each slot with its own byte count. Falls back to
-     * per-slot handle() when the gathered read fails.
+     * The read pipeline, for ReadPage, ReadPages and PeerReadPages
+     * alike: plan (each page from the owner GPU's frame, the victim
+     * tier or storage), gather (contiguous storage pages into runs),
+     * issue (storage reads with retry; one H2D per storage call, one
+     * DMA for the victim pages, one P2P for the peer pages) and fan-out
+     * (complete every slot). @p k > 1 is a same-file sweep group: one
+     * CPU-overhead reservation and one gathered storage read for all
+     * of them; when that read fails each member is served alone.
      */
-    void handleReadPagesGroup(unsigned port_idx, RpcSlot **group,
-                              unsigned k);
+    void serviceRead(unsigned port_idx, RpcSlot **slots, unsigned k);
 
-    /** Charge one H2D DMA for @p bytes ready at @p ready; counts the
-     *  bytes. Shared by the single-page and batched read paths so the
-     *  two charge identically. */
-    Time chargeH2dDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready);
+    /** Plan step of serviceRead for one slot; @p solo requests probe
+     *  the victim tier (sweep-group members read from storage). */
+    void planRead(ReadPlan &pl, RpcSlot *slot, bool solo, Time t0);
 
-    /** Charge the H2D DMA of a victim-tier hit. Unlike chargeH2dDma
-     *  this never takes the direct-to-GPU shortcut: a gds backend DMAs
-     *  storage reads straight to the device, but victim bytes live in
-     *  host RAM and must cross PCIe regardless of backend. */
-    Time chargeVictimH2d(gpu::GpuDevice &dev, uint64_t bytes, Time ready);
+    /**
+     * The write pipeline, for WriteBack, WritePages and
+     * PeerWritePages alike, with handling done at @p t0: D2H charge,
+     * journal commit (maybeJournal), one gathered storage write with
+     * retry, victim invalidation, and for PeerWritePages the mirror
+     * into the owner GPU's frames and the version publish.
+     */
+    RpcResponse serviceWrite(gpu::GpuDevice &dev, const RpcRequest &req,
+                             Time t0);
+
+    /** Charge one H2D DMA of @p bytes ready at @p ready on the GPU's
+     *  own PCIe channel; counts the bytes. Storage reads under a
+     *  direct-to-GPU backend skip it (the backend's charge covered the
+     *  wire); victim-tier bytes sit in host RAM and always cross. */
+    Time chargeH2dDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready,
+                      bool from_storage);
 
     /** True when the victim tier would serve EVERY page of @p req (a
      *  ReadPages request) at the host's current version — such
@@ -286,12 +301,11 @@ class CpuDaemon
     void victimInvalidate(int host_fd, const hostfs::WriteRun *runs,
                           unsigned n);
 
-    RpcResponse handleOpen(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleClose(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleReadPage(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleReadPages(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleWriteBack(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleWritePages(gpu::GpuDevice &dev, const RpcRequest &req);
+    /** Open/Close: fill @p resp's status and (Open) file metadata. */
+    void handleOpen(gpu::GpuDevice &dev, const RpcRequest &req,
+                    RpcResponse &resp);
+    void handleClose(gpu::GpuDevice &dev, const RpcRequest &req,
+                     RpcResponse &resp);
 
     // ---- sharded multi-GPU peer forwarding ----
 
@@ -304,16 +318,6 @@ class CpuDaemon
     Time chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
                       uint64_t bytes, Time ready);
 
-    RpcResponse handlePeerReadPages(gpu::GpuDevice &dev,
-                                    const RpcRequest &req);
-    RpcResponse handlePeerWritePages(gpu::GpuDevice &dev,
-                                     const RpcRequest &req);
-
-    /** Charge one D2H DMA for @p bytes ready at @p ready. Shared by the
-     *  single-extent and batched write-back paths so the two charge
-     *  identically (one setup cost per request either way). */
-    Time chargeD2hDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready);
-
     /** Track (fd -> ino, write, durable) for consistency release and
      *  the journal's per-file gate. */
     struct FdClaim { uint64_t ino; bool write; bool durable; };
@@ -325,8 +329,8 @@ class CpuDaemon
     bool durableFd(int fd, uint64_t *ino_out = nullptr);
 
     /**
-     * Journal-first ordering for the write-back handlers: when the
-     * journal is on and @p fd is durable, ensure the txn's records are
+     * Journal-first ordering for the write pipeline: when the journal
+     * is on and @p fd is durable, ensure the txn's records are
      * commit-durable and advance @p t to the commit-durable time
      * before the caller's in-place write. Normally the sweep preflight
      * (prejournalSweep) already appended and group-synced the txn and
@@ -335,8 +339,13 @@ class CpuDaemon
      * @p fd is not durable.
      */
     Status maybeJournal(int fd, const hostfs::WriteRun *runs, unsigned n,
-                        Time &t, sim::Resource *io,
-                        bool *journaled = nullptr);
+                        Time &t, sim::Resource *io, bool *journaled);
+
+    /** Journal append / group fsync at @p at, with transient-fault
+     *  retry; a successful sync counts journal_group_syncs. */
+    hostfs::IoResult journalAppend(uint64_t ino, const hostfs::WriteRun *runs,
+                                   unsigned n, Time at, sim::Resource *io);
+    hostfs::IoResult journalSync(Time at);
 
     /**
      * Group commit: issue the ONE journal fsync covering every txn
@@ -349,15 +358,16 @@ class CpuDaemon
     Status flushJournalSync();
 
     /**
-     * Group-commit preflight: before a sweep's handlers run, append
+     * Group-commit preflight: before a sweep's requests run, append
      * every write-op slot's journal txn (pwrites only), then ONE
      * groupSync makes them all durable — satisfying the WAL rule (a
      * crash reverts un-fsynced writes, so the commit record must be
-     * durable before any handler's in-place write) at one fsync per
+     * durable before any in-place write) at one fsync per
      * sweep instead of one per WritePages RPC. Successful appends are
-     * recorded in prejournalDone_; the handler's maybeJournal consumes
-     * the entry and skips its own append. Slots whose preflight append
-     * failed fall back to maybeJournal's per-RPC append+sync.
+     * recorded in prejournalDone_; the pipeline's maybeJournal
+     * consumes the entry and skips its own append. Slots whose
+     * preflight append failed fall back to maybeJournal's per-RPC
+     * append+sync.
      */
     void prejournalSweep(unsigned port_idx, RpcSlot **all,
                          unsigned total);
@@ -365,7 +375,7 @@ class CpuDaemon
     /** Preflight-appended slots of the current sweep -> commit-durable
      *  time. Daemon thread only. */
     std::unordered_map<RpcSlot *, Time> prejournalDone_;
-    /** Set by serviceSweep just before a handler whose slot was
+    /** Set by serviceSweep just before a write whose slot was
      *  preflight-journaled; maybeJournal consumes and clears it. */
     bool slotPrejournaled_ = false;
     Time slotPrejournalTime_ = 0;

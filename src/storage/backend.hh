@@ -6,10 +6,10 @@
  * The paper's host daemon knows exactly one miss shape — a buffered
  * pread through the OS page cache followed by a bounce-buffer H2D DMA
  * (§4.3). This interface makes that shape pluggable: the daemon calls
- * read/readPages/readRuns/write/writev/sync on the selected backend
- * instead of HostFs directly, and each backend pairs the (shared)
- * functional HostFs data movement with its own virtual-time charge
- * model:
+ * readRuns/writev/sync on the selected backend instead of HostFs
+ * directly — a single-page read or write is a one-run call — and each
+ * backend pairs the (shared) functional HostFs data movement with its
+ * own virtual-time charge model:
  *
  *  - BufferedBackend    host page cache + disk (byte-identical default)
  *  - DirectBackend      O_DIRECT: aligned extents, device-rate I/O,
@@ -74,22 +74,17 @@ class StorageBackend
      */
     virtual bool directToGpu() const { return false; }
 
-    /** @p gpu is the requesting GPU's id — backends with per-GPU
-     *  timelines (GDS) reserve that GPU's engine; others ignore it.
-     *  All calls mirror the HostFs methods they replace. */
-    virtual hostfs::IoResult read(int fd, uint8_t *dst, uint64_t len,
-                                  uint64_t offset, Time ready,
-                                  unsigned gpu) = 0;
-    virtual hostfs::IoResult readPages(int fd, uint8_t *const *dsts,
-                                       unsigned n_pages, uint64_t page_len,
-                                       uint64_t offset, Time ready,
-                                       unsigned gpu) = 0;
+    /**
+     * Gathered scatter-read: every run's extent lands in its page
+     * buffers as ONE storage call (HostFs::preadRuns semantics: per-run
+     * EOF-clamped byte counts return in runs[i].bytes). Writes land
+     * every run as ONE gathered pwritev (one version bump). @p gpu is
+     * the requesting GPU's id — backends with per-GPU timelines (GDS)
+     * reserve that GPU's engine; others ignore it.
+     */
     virtual hostfs::IoResult readRuns(int fd, hostfs::ReadRun *runs,
                                       unsigned n, Time ready,
                                       unsigned gpu) = 0;
-    virtual hostfs::IoResult write(int fd, const uint8_t *src, uint64_t len,
-                                   uint64_t offset, Time ready,
-                                   unsigned gpu) = 0;
     virtual hostfs::IoResult writev(int fd, const hostfs::WriteRun *runs,
                                     unsigned n, Time ready,
                                     unsigned gpu) = 0;

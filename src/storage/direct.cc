@@ -32,32 +32,6 @@ class DirectBackend : public StorageBackend
     BackendKind kind() const override { return BackendKind::Direct; }
 
     hostfs::IoResult
-    read(int fd, uint8_t *dst, uint64_t len, uint64_t offset, Time ready,
-         unsigned) override
-    {
-        auto r = fs.preadUncached(fd, dst, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        r.done = chargeDevice(offset, r.bytes, 1, ready, /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    readPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-              uint64_t page_len, uint64_t offset, Time ready,
-              unsigned) override
-    {
-        auto r = fs.preadPagesUncached(fd, dsts, n_pages, page_len, offset,
-                                       ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        r.done = chargeDevice(offset, r.bytes, 1, ready, /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
     readRuns(int fd, hostfs::ReadRun *runs, unsigned n, Time ready,
              unsigned) override
     {
@@ -79,18 +53,6 @@ class DirectBackend : public StorageBackend
         }
         r.done = chargeAligned(aligned, r.bytes, extents, ready,
                                /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    write(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
-          Time ready, unsigned) override
-    {
-        auto r = fs.pwriteUncached(fd, src, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countWrite(r.bytes);
-        r.done = chargeDevice(offset, r.bytes, 1, ready, /*write=*/true);
         return r;
     }
 
@@ -135,16 +97,6 @@ class DirectBackend : public StorageBackend
     }
 
   private:
-    /** Single-extent convenience: align [offset, offset+bytes). */
-    Time
-    chargeDevice(uint64_t offset, uint64_t bytes, unsigned extents,
-                 Time ready, bool write)
-    {
-        uint64_t aligned = alignedSpan(
-            offset, bytes, fs.simContext().params.directAlignBytes);
-        return chargeAligned(aligned, bytes, extents, ready, write);
-    }
-
     /** Submit syscall on cpuIo, then one device reservation:
      *  extents * accessLat + aligned bytes at device rate. */
     Time

@@ -36,34 +36,6 @@ class GdsBackend : public StorageBackend
     bool directToGpu() const override { return true; }
 
     hostfs::IoResult
-    read(int fd, uint8_t *dst, uint64_t len, uint64_t offset, Time ready,
-         unsigned gpu) override
-    {
-        auto r = fs.preadUncached(fd, dst, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        r.done = chargeStreamed(offset, r.bytes, 1, ready, gpu,
-                                /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    readPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-              uint64_t page_len, uint64_t offset, Time ready,
-              unsigned gpu) override
-    {
-        auto r = fs.preadPagesUncached(fd, dsts, n_pages, page_len, offset,
-                                       ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        r.done = chargeStreamed(offset, r.bytes, 1, ready, gpu,
-                                /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
     readRuns(int fd, hostfs::ReadRun *runs, unsigned n, Time ready,
              unsigned gpu) override
     {
@@ -82,19 +54,6 @@ class GdsBackend : public StorageBackend
         }
         r.done = chargeAlignedStreamed(aligned, r.bytes, extents, ready,
                                        gpu, /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    write(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
-          Time ready, unsigned gpu) override
-    {
-        auto r = fs.pwriteUncached(fd, src, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countWrite(r.bytes);
-        r.done = chargeStreamed(offset, r.bytes, 1, ready, gpu,
-                                /*write=*/true);
         return r;
     }
 
@@ -137,16 +96,6 @@ class GdsBackend : public StorageBackend
     }
 
   private:
-    Time
-    chargeStreamed(uint64_t offset, uint64_t bytes, unsigned extents,
-                   Time ready, unsigned gpu, bool write)
-    {
-        uint64_t aligned = alignedSpan(
-            offset, bytes, fs.simContext().params.directAlignBytes);
-        return chargeAlignedStreamed(aligned, bytes, extents, ready, gpu,
-                                     write);
-    }
-
     /** Submit ioctl on cpuIo, then device and DMA engine CONCURRENTLY
      *  (the read streams through the engine as sectors arrive): done
      *  when the slower reservation ends. */

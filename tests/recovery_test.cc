@@ -200,6 +200,53 @@ TEST_F(RecoveryTest, MidPwritevWithoutJournalTearsTheUpdate)
 }
 
 // ---------------------------------------------------------------------
+// The per-page write-back path (gmsync(ctx, ptr), eviction) lands
+// through the same gathered write as batched flushes, so the same
+// crash points tear it and the journal makes the tear unobservable
+// ---------------------------------------------------------------------
+
+TEST_F(RecoveryTest, PerPageWriteBackCrashIsAllOldOrAllNew)
+{
+    sys = std::make_unique<GpufsSystem>(1, baseParams(true));
+    auto ctx = test::makeBlock(sys->device(0));
+    int fd = sys->fs().gopen(ctx, "/pp", G_RDWR | G_CREAT | G_GDURABLE);
+    ASSERT_GE(fd, 0);
+    writePhase(ctx, fd, 0, 0xA5);
+    ASSERT_EQ(Status::Ok, sys->fs().gmsync(ctx, fd));
+
+    // Rewrite one page and write back only that page, through its
+    // mapping: a single-page WriteBack RPC.
+    std::vector<uint8_t> page(kPage, 0x5C);
+    ASSERT_EQ(int64_t(kPage),
+              sys->fs().gwrite(ctx, fd, 2 * kPage, kPage, page.data()));
+    uint64_t mapped = 0;
+    void *ptr = sys->fs().gmmap(ctx, fd, 2 * kPage, kPage, &mapped);
+    ASSERT_NE(nullptr, ptr);
+    ASSERT_EQ(kPage, mapped);
+
+    sys->sim().faults.armCrash(sim::CrashPoint::MidPwritev);
+    (void)sys->fs().gmsync(ctx, ptr);
+    sys->fs().gmunmap(ctx, ptr);
+    ASSERT_TRUE(sys->sim().faults.crashed()) << "crash point never fired";
+
+    sys->restartDaemon();
+    ASSERT_FALSE(sys->sim().faults.crashed());
+    expectHostPages("/pp", 0, 2, 0xA5, "pages before the update");
+    expectHostPages("/pp", 3, kPages - 3, 0xA5, "pages after the update");
+    int hfd = sys->hostFs().open("/pp", hostfs::O_RDONLY_F);
+    ASSERT_GE(hfd, 0);
+    std::vector<uint8_t> got(kPage);
+    ASSERT_EQ(Status::Ok,
+              sys->hostFs().pread(hfd, got.data(), kPage, 2 * kPage).status);
+    sys->hostFs().close(hfd);
+    const uint8_t first = got[0];
+    EXPECT_TRUE(first == 0xA5 || first == 0x5C) << int(first);
+    for (uint64_t i = 0; i < kPage; ++i)
+        ASSERT_EQ(first, got[i]) << "torn page at byte " << i;
+    sys->fs().gclose(ctx, fd);
+}
+
+// ---------------------------------------------------------------------
 // Journal replay: torn tails (bad checksum / missing commit) discard
 // ---------------------------------------------------------------------
 
