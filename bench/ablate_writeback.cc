@@ -1,18 +1,19 @@
 /**
  * @file
- * Ablation: the write path — per-page WriteBack RPCs vs batched
- * WritePages, with and without the async write-back flusher.
+ * Ablation: the write path — batched WritePages write-back, with and
+ * without the async write-back flusher, plus the write-ahead
+ * journal's cost on it.
  *
  * §3.3/§4.2 argue dirty-page write-back must be asynchronous and
- * batched so GPU threads never stall on host I/O. This bench
- * quantifies both levers on a sequential-write workload (mirrors
- * ablate_eviction's structure):
+ * batched so GPU threads never stall on host I/O. gfsync's dirty
+ * extents always coalesce into WritePages RPCs of up to
+ * rpc::kMaxBatchPages pages (one request charge, one gathered pwritev,
+ * one D2H DMA reservation — the write twin of the ReadPages batching
+ * in fig4). This bench runs that batched path in both modes on a
+ * sequential-write workload (mirrors ablate_eviction's structure):
  *
- *  - batching: gfsync's dirty extents coalesce into WritePages RPCs of
- *    up to rpc::kMaxBatchPages pages (one request charge, one gathered
- *    pwritev, one D2H DMA reservation) instead of one round-trip per
- *    page — the write twin of the ReadPages batching in fig4;
- *  - the flusher: a background host thread drains dirty pages while
+ *  - batched+sync: gfsync drains every dirty page itself;
+ *  - batched+async: a background host thread drains dirty pages while
  *    the kernel computes, so gfsync finds few of them and its latency
  *    stops growing with the dirty-page count.
  */
@@ -35,15 +36,12 @@ constexpr uint64_t kPage = 64 * KiB;
 
 struct Mode {
     const char *name;
-    bool batched;
     bool flusher;
 };
 
 const Mode kModes[] = {
-    {"per_page+sync", false, false},
-    {"batched+sync", true, false},
-    {"per_page+async", false, true},
-    {"batched+async", true, true},
+    {"batched+sync", false},
+    {"batched+async", true},
 };
 
 core::GpuFsParams
@@ -52,7 +50,6 @@ makeParams(const Mode &m, uint64_t cache_bytes)
     core::GpuFsParams p;
     p.pageSize = kPage;
     p.cacheBytes = cache_bytes;
-    p.batchWriteback = m.batched;
     p.asyncWriteback = m.flusher;
     p.flusherIntervalUs = 100;
     return p;
@@ -167,27 +164,22 @@ main(int argc, char **argv)
 {
     bench::Options opt = bench::parseOptions(
         argc, argv, 1.0,
-        "Ablation: per-page vs batched write-back x sync vs async "
-        "flusher");
+        "Ablation: batched write-back, sync vs async flusher");
     const unsigned blocks = 16;
     const unsigned pages_per_block =
         std::max(4u, unsigned(64 * opt.scale));
 
     bench::printTitle(
-        "Ablation: write-back path — per-page WriteBack vs batched "
-        "WritePages, sync vs async flusher",
-        "batching amortizes the per-request CPU and DMA-setup charges "
-        "across up to 16 dirty pages; the flusher drains dirty pages "
-        "during compute so gfsync stops paying for them");
+        "Ablation: write-back path — batched WritePages, sync vs async "
+        "flusher",
+        "the flusher drains dirty pages during compute so gfsync stops "
+        "paying for them");
 
     std::printf("%-16s %10s %10s %10s %14s %12s %14s\n", "mode",
                 "write_rpcs", "pages_wb", "pages/rpc", "mean_gfsync_ms",
                 "kernel_ms", "flusher_pages");
-    uint64_t per_page_rpcs = 0;
     for (const Mode &m : kModes) {
         SeqResult r = runSeq(m, blocks, pages_per_block);
-        if (!m.batched && !m.flusher)
-            per_page_rpcs = r.writeRpcs;
         std::printf("%-16s %10llu %10llu %10.1f %14.2f %12.1f %14llu\n",
                     m.name,
                     static_cast<unsigned long long>(r.writeRpcs),
@@ -197,11 +189,6 @@ main(int argc, char **argv)
                         : 0.0,
                     r.gfsyncMs, toMillis(r.virt),
                     static_cast<unsigned long long>(r.flusherPages));
-        if (m.batched && !m.flusher && per_page_rpcs) {
-            std::printf("#  batching reduction: %.1fx fewer write RPCs "
-                        "than per-page\n",
-                        double(per_page_rpcs) / double(r.writeRpcs));
-        }
     }
     std::printf("#  (16 blocks bursting writes into ONE shared file: "
                 "the async win shows in kernel_ms — write-back "
@@ -234,7 +221,7 @@ main(int argc, char **argv)
     //    every in-place write-back) must cost <= 15% span on the
     //    contended batched write-back workload, judged against the
     //    same run's baseline.
-    const Mode &batched_sync = kModes[1];
+    const Mode &batched_sync = kModes[0];
     bool fail = false;
 
     const unsigned solo_pages = 4 * pages_per_block;

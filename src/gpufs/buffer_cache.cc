@@ -1,7 +1,9 @@
 #include "gpufs/buffer_cache.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
+#include <thread>
 #include <unordered_map>
 
 #include "base/logging.hh"
@@ -405,63 +407,6 @@ BufferCache::destroyFile(CacheFile &f)
     f.cache.reset();
 }
 
-Status
-BufferCache::fetchPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
-                       uint8_t *data, uint32_t *valid, Time *done)
-{
-    const uint64_t page_size = params_.pageSize;
-    if (f.wronce) {
-        // The pristine copy is implicitly all zeros (§3.1): no fetch,
-        // no DMA — the page is "ready" from the beginning of time for
-        // any block's virtual clock (see pinPage's skip_fetch note).
-        std::memset(data, 0, page_size);
-        *valid = 0;
-        *done = 0;
-        return Status::Ok;
-    }
-    rpc::RpcRequest req;
-    req.hostFd = f.hostFd;
-    req.offset = page_idx * page_size;
-    req.len = page_size;
-    req.gpuId = dev.id();
-    req.issueTime = ctx.now();
-    req.tenant = f.tenant.load(std::memory_order_relaxed);
-    unsigned owner = pageOwner(f, page_idx);
-    if (shardedFile(f))
-        shards_->recordHeat(req.tenant, f.ino, page_idx, dev.id(), 1);
-    if (owner != dev.id()) {
-        // Non-owner miss: route the demand fetch to the owner GPU's
-        // cache (PeerReadPages, pageCount=1); the daemon falls back to
-        // the host for pages the owner does not hold.
-        req.op = rpc::RpcOp::PeerReadPages;
-        req.peerGpu = owner;
-        req.ino = f.ino;
-        req.version = f.version.load(std::memory_order_relaxed);
-        req.pageLen = page_size;
-        req.pageCount = 1;
-        req.batch[0] = data;
-    } else {
-        req.op = rpc::RpcOp::ReadPage;
-        req.data = data;
-    }
-    rpc::RpcResponse resp = queue.call(req);
-    if (owner != dev.id())
-        cntPeerReadRpcs.inc();
-    else
-        cntReadRpcs.inc();
-    if (!ok(resp.status))
-        return resp.status;
-    if (owner != dev.id()) {
-        cntPeerPagesForwarded.inc(resp.peerPages);
-        cntPeerPagesFallback.inc(resp.peerPages ? 0 : 1);
-    }
-    if (resp.bytes < page_size)
-        std::memset(data + resp.bytes, 0, page_size - resp.bytes);
-    *valid = static_cast<uint32_t>(resp.bytes);
-    *done = resp.done;
-    return Status::Ok;
-}
-
 Time
 BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
                              const uint8_t *data, uint32_t lo, uint32_t hi,
@@ -493,21 +438,19 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
         Time max_done = t;
         Status agg = Status::Ok;
         // Changed runs batch into WritePages requests (up to
-        // kMaxBatchPages runs each) instead of one WriteBack RPC per
-        // run: a heavily fragmented page pays one request charge per
-        // batch, not per run.
-        WriteExtent runs[rpc::kMaxBatchPages];
-        unsigned nruns = 0;
+        // kMaxBatchPages runs each) instead of one request per run: a
+        // heavily fragmented page pays one request charge per batch,
+        // not per run. The runs are not taken extents (the caller
+        // holds the page), so they carry no fpage.
+        PendingFlush runs;
         auto flush_runs = [&]() {
-            if (nruns == 0)
+            if (runs.n == 0)
                 return;
-            Time done = t;
-            Status run_st = writeExtentsRpc(f, runs, nruns,
-                                            /*zero_diff=*/false, t, &done);
+            submitFlushRpc(f, runs, t, /*blocking=*/true);
+            Status run_st = completeFlush(f, runs, &max_done);
             if (!ok(run_st))
                 agg = run_st;
-            max_done = std::max(max_done, done);
-            nruns = 0;
+            runs.n = 0;
         };
         uint32_t i = lo;
         while (i < hi) {
@@ -522,34 +465,10 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
                 ++run;
             }
             if (run > i) {
-                if (params_.batchWriteback) {
-                    if (nruns == rpc::kMaxBatchPages)
-                        flush_runs();
-                    runs[nruns++] = {page_idx * params_.pageSize + i,
-                                     run - i,
-                                     pristine_base + i};  // stable snapshot
-                } else {
-                    rpc::RpcRequest req;
-                    req.op = rpc::RpcOp::WriteBack;
-                    req.hostFd = f.hostFd;
-                    req.offset = page_idx * params_.pageSize + i;
-                    req.len = run - i;
-                    req.data = pristine_base + i;   // stable snapshot
-                    req.gpuId = dev.id();
-                    req.issueTime = t;
-                    req.tenant = f.tenant.load(std::memory_order_relaxed);
-                    rpc::RpcResponse r = queue.call(req);
-                    cntWriteRpcs.inc();
-                    if (!ok(r.status)) {
-                        agg = r.status;
-                    } else {
-                        if (r.version != 0)
-                            f.noteWriteVersion(r.version);
-                        f.needsFsync.store(true,
-                                           std::memory_order_release);
-                    }
-                    max_done = std::max(max_done, r.done);
-                }
+                if (runs.n == rpc::kMaxBatchPages)
+                    flush_runs();
+                runs.ext[runs.n++] = {nullptr, page_idx, kNoFrame, i, run,
+                                      pristine_base + i};  // stable snapshot
             }
             i = run;
         }
@@ -590,174 +509,6 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
 }
 
 Status
-BufferCache::writeExtentsRpc(CacheFile &f, const WriteExtent *ext,
-                             unsigned n, bool zero_diff, Time issue,
-                             Time *done_out)
-{
-    gpufs_assert(f.hostFd >= 0, "write-back without host fd");
-    gpufs_assert(n >= 1 && n <= rpc::kMaxBatchPages,
-                 "write batch size out of range");
-    rpc::RpcRequest req;
-    req.op = rpc::RpcOp::WritePages;
-    req.hostFd = f.hostFd;
-    req.diffAgainstZeros = zero_diff;
-    req.gpuId = dev.id();
-    req.issueTime = issue;
-    req.tenant = f.tenant.load(std::memory_order_relaxed);
-    req.pageCount = n;
-    uint64_t total = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        req.batch[i] = const_cast<uint8_t *>(ext[i].data);
-        req.batchOff[i] = ext[i].off;
-        req.batchLen[i] = ext[i].len;
-        total += ext[i].len;
-    }
-    req.len = total;
-    rpc::RpcResponse resp = queue.call(req);
-    cntBatchWriteRpcs.inc();
-    cntBatchWritePages.inc(n);
-    if (done_out)
-        *done_out = resp.done;
-    if (!ok(resp.status))
-        return resp.status;
-    if (resp.version != 0) {
-        // Track the version our own write produced so reopen does not
-        // mistake it for a remote modification.
-        f.noteWriteVersion(resp.version);
-    }
-    f.needsFsync.store(true, std::memory_order_release);
-    return Status::Ok;
-}
-
-Status
-BufferCache::peerWriteExtentsRpc(CacheFile &f, unsigned owner_gpu,
-                                 const WriteExtent *ext, unsigned n,
-                                 uint64_t base_version, bool publish,
-                                 Time issue, Time *done_out)
-{
-    gpufs_assert(f.hostFd >= 0, "write-back without host fd");
-    gpufs_assert(n >= 1 && n <= rpc::kMaxBatchPages,
-                 "peer write batch size out of range");
-    rpc::RpcRequest req;
-    req.op = rpc::RpcOp::PeerWritePages;
-    req.hostFd = f.hostFd;
-    req.peerGpu = owner_gpu;
-    req.ino = f.ino;
-    // The version the OWNER is expected to sit at: the one from
-    // before this flush's first partition — a sibling partition's
-    // host write must not fail every later partition's mirror gate.
-    req.version = base_version;
-    req.peerPublish = publish;
-    req.pageLen = params_.pageSize;
-    req.gpuId = dev.id();
-    req.issueTime = issue;
-    req.tenant = f.tenant.load(std::memory_order_relaxed);
-    req.pageCount = n;
-    uint64_t total = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        req.batch[i] = const_cast<uint8_t *>(ext[i].data);
-        req.batchOff[i] = ext[i].off;
-        req.batchLen[i] = ext[i].len;
-        total += ext[i].len;
-    }
-    req.len = total;
-    rpc::RpcResponse resp = queue.call(req);
-    cntPeerWriteRpcs.inc();
-    if (done_out)
-        *done_out = std::max(*done_out, resp.done);
-    if (!ok(resp.status))
-        return resp.status;
-    cntPeerExtentsMirrored.inc(resp.peerPages);
-    if (resp.version != 0) {
-        // The host write-through bumped the version; track it so
-        // reopen does not mistake our own write for a remote one.
-        f.noteWriteVersion(resp.version);
-    }
-    f.needsFsync.store(true, std::memory_order_release);
-    return Status::Ok;
-}
-
-Status
-BufferCache::writeBatchSharded(CacheFile &f, const DirtyExtent *ext,
-                               unsigned n, Time issue, Time *done_out,
-                               bool *ext_failed)
-{
-    if (ext_failed)
-        std::fill(ext_failed, ext_failed + n, false);
-    WriteExtent w[rpc::kMaxBatchPages];
-    for (unsigned i = 0; i < n; ++i) {
-        w[i] = {ext[i].pageIdx * params_.pageSize + ext[i].lo,
-                ext[i].hi - ext[i].lo, ext[i].data};
-    }
-    if (!shardedFile(f)) {
-        Time done = issue;
-        Status st = writeExtentsRpc(f, w, n, f.wronce, issue, &done);
-        if (done_out)
-            *done_out = std::max(*done_out, done);
-        if (!ok(st) && ext_failed)
-            std::fill(ext_failed, ext_failed + n, true);
-        return st;
-    }
-
-    // Partition the taken batch by page owner: self-owned extents ride
-    // one plain WritePages; each peer owner's extents ride one
-    // PeerWritePages. Write-back thus stays owner-local without the
-    // PR-2 take/finish machinery above this call changing at all.
-    unsigned owner_of[rpc::kMaxBatchPages];
-    unsigned partitions = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        owner_of[i] = pageOwner(f, ext[i].pageIdx);
-        bool seen = false;
-        for (unsigned j = 0; j < i; ++j)
-            seen = seen || owner_of[j] == owner_of[i];
-        partitions += seen ? 0 : 1;
-    }
-    // Version the whole flush gates on (see peerWriteExtentsRpc); the
-    // owner may have its post-write version published only when this
-    // flush has a single partition — with siblings, other pages of the
-    // file change in the same flush and a publish would validate the
-    // owner's possibly-stale copies of them.
-    const uint64_t base_version =
-        f.version.load(std::memory_order_relaxed);
-    const bool publish = partitions == 1;
-
-    Status agg = Status::Ok;
-    bool used[rpc::kMaxBatchPages] = {};
-    for (unsigned i = 0; i < n; ++i) {
-        if (used[i])
-            continue;
-        unsigned owner = owner_of[i];
-        WriteExtent grp[rpc::kMaxBatchPages];
-        unsigned members[rpc::kMaxBatchPages];
-        unsigned g = 0;
-        for (unsigned j = i; j < n; ++j) {
-            if (!used[j] && owner_of[j] == owner) {
-                members[g] = j;
-                grp[g++] = w[j];
-                used[j] = true;
-            }
-        }
-        Time done = issue;
-        Status one = owner == dev.id()
-            ? writeExtentsRpc(f, grp, g, /*zero_diff=*/false, issue,
-                              &done)
-            : peerWriteExtentsRpc(f, owner, grp, g, base_version,
-                                  publish, issue, &done);
-        if (done_out)
-            *done_out = std::max(*done_out, done);
-        if (!ok(one)) {
-            if (ext_failed) {
-                for (unsigned k = 0; k < g; ++k)
-                    ext_failed[members[k]] = true;
-            }
-            if (ok(agg))
-                agg = one;
-        }
-    }
-    return agg;
-}
-
-Status
 BufferCache::flushDirty(gpu::BlockCtx &ctx, CacheFile &f,
                         uint64_t first_page, uint64_t last_page,
                         unsigned *pages_out, uint64_t max_pages)
@@ -787,7 +538,7 @@ BufferCache::flushDirty(gpu::BlockCtx &ctx, CacheFile &f,
     // Diff-and-merge pages must diff against their GPU-side pristine
     // copies, so they go through writebackExtent per page (each page's
     // changed runs still batch into WritePages there).
-    if (!params_.batchWriteback || diffMergeActive(f)) {
+    if (diffMergeActive(f)) {
         Status st = flushDirtyPerPage(ctx, f, first_page, last_page,
                                       pages_out, max_pages);
         if (ok(st) && durability)
@@ -829,36 +580,31 @@ BufferCache::flushDirty(gpu::BlockCtx &ctx, CacheFile &f,
             break;
         }
         // All write-backs are issued at the current clock so their DMA
-        // and host I/O pipeline on the resource timelines. Sharded
-        // files partition the batch by page owner (peer extents ride
-        // PeerWritePages, mirroring the owner's resident copy on the
-        // way to the host); private files take one WritePages.
+        // and host I/O pipeline on the resource timelines. Each owner
+        // partition is one blocking submit, collected at once; a
+        // failed partition's extents are restored so a later sync
+        // retries exactly them (its siblings may already have landed
+        // on the host), and the drain stops rather than re-take the
+        // same failing pages.
+        PendingFlush parts[rpc::kMaxBatchPages];
+        const unsigned np =
+            partitionTake(f, ext, n, parts, rpc::kMaxBatchPages);
         Time done = ctx.now();
-        bool failed[rpc::kMaxBatchPages] = {};
-        Status one = writeBatchSharded(f, ext, n, ctx.now(), &done,
-                                       failed);
-        if (!ok(one)) {
-            // Restore ONLY the failed partitions' extents so a later
-            // sync retries exactly them (a sharded batch may have
-            // landed sibling partitions on the host already); stop
-            // rather than re-take the same failing pages.
-            DirtyExtent good[rpc::kMaxBatchPages];
-            DirtyExtent bad[rpc::kMaxBatchPages];
-            unsigned ng = 0, nb = 0;
-            for (unsigned i = 0; i < n; ++i)
-                (failed[i] ? bad[nb++] : good[ng++]) = ext[i];
-            if (ng > 0) {
-                f.cache->finishDirtyBatch(good, ng, /*restore=*/false);
-                if (pages_out)
-                    *pages_out += ng;
+        Status take_st = Status::Ok;
+        for (unsigned k = 0; k < np; ++k) {
+            submitFlushRpc(f, parts[k], ctx.now(), /*blocking=*/true);
+            Status one = completeFlush(f, parts[k], &done);
+            if (!ok(one)) {
+                if (ok(take_st))
+                    take_st = one;
+            } else if (pages_out) {
+                *pages_out += parts[k].n;
             }
-            f.cache->finishDirtyBatch(bad, nb, /*restore=*/true);
-            agg = one;
+        }
+        if (!ok(take_st)) {
+            agg = take_st;
             break;
         }
-        f.cache->finishDirtyBatch(ext, n, /*restore=*/false);
-        if (pages_out)
-            *pages_out += n;
         max_done = std::max(max_done, done);
     }
     if (ok(agg) && durability)
@@ -906,18 +652,15 @@ BufferCache::submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
                          uint64_t first_page, uint64_t last_page,
                          PendingFlush *out, unsigned max_batches)
 {
-    if (!f.cache || f.noSync || f.hostFd < 0 || !params_.batchWriteback)
+    if (!f.cache || f.noSync || f.hostFd < 0)
         return 0;
     // Diff-and-merge extents must diff against GPU-side pristine
     // copies page by page — they stay on the synchronous path.
     if (diffMergeActive(f))
         return 0;
-    const uint64_t page_size = params_.pageSize;
-    const bool sharded = shardedFile(f);
     unsigned nb = 0;
     uint64_t budget = f.cache->dirtyCount();
-    bool stop = false;
-    while (!stop && nb < max_batches && budget > 0) {
+    while (nb < max_batches && budget > 0) {
         DirtyExtent take[rpc::kMaxBatchPages];
         std::vector<uint8_t> taken;
         unsigned n = f.cache->takeDirtyBatch(
@@ -927,112 +670,134 @@ BufferCache::submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
             taken);
         if (n == 0)
             break;
-        // Moving keeps the buffer, so the extents' data pointers hold.
-        auto stage =
-            std::make_shared<const std::vector<uint8_t>>(std::move(taken));
         budget -= std::min<uint64_t>(budget, n);
-
-        // Partition the take by page owner, exactly like the wait-time
-        // writeBatchSharded: self-owned extents ride one WritePages,
-        // each peer owner's one PeerWritePages (private files are one
-        // self partition). One output slot per partition.
-        unsigned owner_of[rpc::kMaxBatchPages];
-        unsigned partitions = 0;
-        for (unsigned i = 0; i < n; ++i) {
-            owner_of[i] = sharded ? pageOwner(f, take[i].pageIdx)
-                                  : dev.id();
-            bool seen = false;
-            for (unsigned j = 0; j < i; ++j)
-                seen = seen || owner_of[j] == owner_of[i];
-            partitions += seen ? 0 : 1;
-        }
-        if (nb + partitions > max_batches) {
-            // Not enough output slots for every partition of this
-            // take: restore it whole — a partial submit would need
-            // wait-time code to know which partitions went out.
+        // One output slot per owner partition. Not enough slots for
+        // every partition of this take: restore it whole — a partial
+        // submit would need wait-time code to know which partitions
+        // went out.
+        const unsigned np =
+            partitionTake(f, take, n, out + nb, max_batches - nb);
+        if (np == 0) {
             f.cache->finishDirtyBatch(take, n, /*restore=*/true);
             break;
         }
-        // Peer mirrors gate on the pre-flush version; publish of the
-        // post-write version is safe only when the whole take is one
-        // partition (see writeBatchSharded).
-        const uint64_t base_version =
-            f.version.load(std::memory_order_relaxed);
-        const bool publish = partitions == 1;
-
-        bool used[rpc::kMaxBatchPages] = {};
-        for (unsigned i = 0; i < n; ++i) {
-            if (used[i])
-                continue;
-            const unsigned owner = owner_of[i];
-            PendingFlush &pf = out[nb];
-            pf.n = 0;
-            for (unsigned j = i; j < n; ++j) {
-                if (!used[j] && owner_of[j] == owner) {
-                    pf.ext[pf.n++] = take[j];
-                    used[j] = true;
-                }
-            }
+        // Moving keeps the buffer, so the extents' data pointers hold.
+        auto stage =
+            std::make_shared<const std::vector<uint8_t>>(std::move(taken));
+        for (unsigned k = 0; k < np; ++k) {
+            PendingFlush &pf = out[nb + k];
             pf.stage = stage;
-            pf.zeroDiff = f.wronce;
-            pf.peer = owner != dev.id();
-            pf.peerGpu = owner;
-            rpc::RpcRequest req;
-            req.hostFd = f.hostFd;
-            req.diffAgainstZeros = pf.zeroDiff;
-            req.gpuId = dev.id();
-            req.issueTime = ctx.now();
-            req.tenant = f.tenant.load(std::memory_order_relaxed);
-            req.pageCount = pf.n;
-            if (pf.peer) {
-                req.op = rpc::RpcOp::PeerWritePages;
-                req.peerGpu = owner;
-                req.ino = f.ino;
-                req.version = base_version;
-                req.peerPublish = publish;
-                req.pageLen = page_size;
-            } else {
-                req.op = rpc::RpcOp::WritePages;
-            }
-            uint64_t total = 0;
-            for (unsigned k = 0; k < pf.n; ++k) {
-                req.batch[k] = const_cast<uint8_t *>(pf.ext[k].data);
-                req.batchOff[k] =
-                    pf.ext[k].pageIdx * page_size + pf.ext[k].lo;
-                req.batchLen[k] = pf.ext[k].hi - pf.ext[k].lo;
-                total += req.batchLen[k];
-            }
-            req.len = total;
-            // The in-flight mark spans submission→wait: the take above
-            // made these pages read clean, and fd release must not
-            // slip in before the RPC lands. Submission must not block
-            // on a full queue (the submitter may hold uncollected
-            // slots) — restore the extents and leave them to the
-            // wait-time drain.
-            f.wbInFlight.fetch_add(1);
-            pf.rpcSlot = queue.trySubmit(req);
-            if (!pf.rpcSlot) {
-                f.cache->finishDirtyBatch(pf.ext, pf.n,
-                                          /*restore=*/true);
-                f.wbInFlight.fetch_sub(1);
-                // Restore the take's remaining partitions too — they
+            if (!submitFlushRpc(f, pf, ctx.now(), /*blocking=*/false)) {
+                // Queue full: the partition's extents were restored;
+                // restore the take's remaining partitions too — they
                 // were taken but will never be submitted.
-                DirtyExtent rest[rpc::kMaxBatchPages];
-                unsigned nr = 0;
-                for (unsigned j = 0; j < n; ++j) {
-                    if (!used[j])
-                        rest[nr++] = take[j];
-                }
-                if (nr > 0)
-                    f.cache->finishDirtyBatch(rest, nr,
+                for (unsigned r = k + 1; r < np; ++r) {
+                    f.cache->finishDirtyBatch(out[nb + r].ext,
+                                              out[nb + r].n,
                                               /*restore=*/true);
-                stop = true;
-                break;
+                }
+                return nb + k;
             }
-            ++nb;
         }
+        nb += np;
     }
     return nb;
+}
+
+unsigned
+BufferCache::partitionTake(CacheFile &f, const DirtyExtent *take,
+                           unsigned n, PendingFlush *parts,
+                           unsigned max_parts)
+{
+    unsigned owner_of[rpc::kMaxBatchPages];
+    unsigned np = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        owner_of[i] = pageOwner(f, take[i].pageIdx);
+        bool seen = false;
+        for (unsigned j = 0; j < i; ++j)
+            seen = seen || owner_of[j] == owner_of[i];
+        np += seen ? 0 : 1;
+    }
+    if (np > max_parts)
+        return 0;
+    // The version every peer mirror gates on: the one from before this
+    // take's first write — a sibling partition's host write must not
+    // fail every later partition's mirror gate. The owner may have its
+    // post-write version published only when the take is one
+    // partition: with siblings, other pages of the file change in the
+    // same flush and a publish would validate the owner's possibly
+    // stale copies of them.
+    const uint64_t base_version = f.version.load(std::memory_order_relaxed);
+    bool used[rpc::kMaxBatchPages] = {};
+    unsigned k = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        if (used[i])
+            continue;
+        PendingFlush &pf = parts[k++];
+        pf.n = 0;
+        for (unsigned j = i; j < n; ++j) {
+            if (!used[j] && owner_of[j] == owner_of[i]) {
+                pf.ext[pf.n++] = take[j];
+                used[j] = true;
+            }
+        }
+        pf.zeroDiff = f.wronce;
+        pf.peer = owner_of[i] != selfGpu();
+        pf.peerGpu = owner_of[i];
+        pf.baseVersion = base_version;
+        pf.publish = np == 1;
+    }
+    return np;
+}
+
+bool
+BufferCache::submitFlushRpc(CacheFile &f, PendingFlush &pf, Time issue,
+                            bool blocking)
+{
+    gpufs_assert(f.hostFd >= 0, "write-back without host fd");
+    gpufs_assert(pf.n >= 1 && pf.n <= rpc::kMaxBatchPages,
+                 "write batch size out of range");
+    const uint64_t page_size = params_.pageSize;
+    rpc::RpcRequest req;
+    req.hostFd = f.hostFd;
+    req.diffAgainstZeros = pf.zeroDiff;
+    req.gpuId = dev.id();
+    req.issueTime = issue;
+    req.tenant = f.tenant.load(std::memory_order_relaxed);
+    req.pageCount = pf.n;
+    if (pf.peer) {
+        // Host write-through plus a mirror into the owner's resident
+        // copy (see RpcOp::PeerWritePages).
+        req.op = rpc::RpcOp::PeerWritePages;
+        req.peerGpu = pf.peerGpu;
+        req.ino = f.ino;
+        req.version = pf.baseVersion;
+        req.peerPublish = pf.publish;
+        req.pageLen = page_size;
+    } else {
+        req.op = rpc::RpcOp::WritePages;
+    }
+    uint64_t total = 0;
+    for (unsigned k = 0; k < pf.n; ++k) {
+        req.batch[k] = const_cast<uint8_t *>(pf.ext[k].data);
+        req.batchOff[k] = pf.ext[k].pageIdx * page_size + pf.ext[k].lo;
+        req.batchLen[k] = pf.ext[k].hi - pf.ext[k].lo;
+        total += req.batchLen[k];
+    }
+    req.len = total;
+    // The in-flight mark spans submission→wait: a take made these
+    // pages read clean, and fd release must not slip in before the RPC
+    // lands. Split-phase submission must not block on a full queue
+    // (the submitter may hold uncollected slots) — restore the extents
+    // and leave them to the wait-time drain.
+    f.wbInFlight.fetch_add(1);
+    pf.rpcSlot = blocking ? queue.submit(req) : queue.trySubmit(req);
+    if (!pf.rpcSlot) {
+        f.cache->finishDirtyBatch(pf.ext, pf.n, /*restore=*/true);
+        f.wbInFlight.fetch_sub(1);
+        return false;
+    }
+    return true;
 }
 
 Status
@@ -1054,10 +819,14 @@ BufferCache::completeFlush(CacheFile &f, PendingFlush &pf,
     if (done_out)
         *done_out = std::max(*done_out, resp.done);
     // Restore failed extents BEFORE dropping the in-flight mark so the
-    // file never reads clean while its dirty data is in limbo.
-    f.cache->finishDirtyBatch(pf.ext, pf.n, /*restore=*/!ok(resp.status));
+    // file never reads clean while its dirty data is in limbo. Diff
+    // runs hold no fpage: their caller owns the page and its restore.
+    if (pf.ext[0].page)
+        f.cache->finishDirtyBatch(pf.ext, pf.n, /*restore=*/!ok(resp.status));
     pf.stage.reset();
     if (ok(resp.status)) {
+        // Track the version our own write produced so reopen does not
+        // mistake it for a remote modification.
         if (resp.version != 0)
             f.noteWriteVersion(resp.version);
         f.needsFsync.store(true, std::memory_order_release);
@@ -1170,8 +939,8 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
         if (frame_hint != kNoFrame)
             return f.cache->evictFrame(frame_hint, allow_dirty, wb,
                                        demote);
-        if (allow_dirty && params_.batchWriteback && f.hostFd >= 0 &&
-            !f.noSync && f.cache->dirtyCount() != 0) {
+        if (allow_dirty && f.hostFd >= 0 && !f.noSync &&
+            f.cache->dirtyCount() != 0) {
             // Dirty eviction routes through the batched path: push
             // about as many of the file's oldest dirty extents home as
             // frames are wanted (takeDirtyBatch walks the same FIFO
@@ -1215,6 +984,29 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
             maybeReleaseClosedFdLocked(ctx, *f);
     }
     return freed;
+}
+
+bool
+BufferCache::framesInMotion(uint8_t tenant, uint32_t need)
+{
+    // A tenant at its quota cannot use free frames; only its own
+    // frames can come back to it.
+    const bool capped = arena_.tenantAtQuota(tenant);
+    if (!capped && arena_.freeCount() >= need)
+        return true;
+    for (uint32_t fr = 0; fr < arena_.numFrames(); ++fr) {
+        PFrame &pf = arena_.frame(fr);
+        if (capped && pf.tenant.load(std::memory_order_relaxed) != tenant)
+            continue;
+        auto *p = static_cast<FPage *>(
+            pf.owner.load(std::memory_order_acquire));
+        if (!p)
+            continue;
+        uint32_t s = p->state.load(std::memory_order_acquire);
+        if (s == kPageInit || s == kPageEvicting)
+            return true;
+    }
+    return false;
 }
 
 void
@@ -1322,29 +1114,37 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
         return Status::Ok;
     }
 
+    unsigned idle_reclaims = 0;
     for (;;) {
         bool did_init = false;
         Status st = c.initAndPin(
             *p, page_idx, &frame, &did_init,
             [&](uint8_t *data, uint32_t *valid) -> Status {
-                if (skip_fetch) {
-                    // Whole-page overwrite: no reason to fetch content
-                    // that is about to be clobbered. Zero-init needs
-                    // no DMA, so readyTime stays 0: another block
-                    // whose virtual clock is earlier than ours must
-                    // not be stalled by OUR clock (it could equally
-                    // have done the memset itself).
+                if (skip_fetch || f.wronce) {
+                    // Whole-page overwrite, or an O_GWRONCE page whose
+                    // pristine copy is implicitly all zeros (§3.1): no
+                    // fetch. Zero-init needs no DMA, so readyTime stays
+                    // 0: another block whose virtual clock is earlier
+                    // than ours must not be stalled by OUR clock (it
+                    // could equally have done the memset itself).
                     std::memset(data, 0, params_.pageSize);
                     *valid = 0;
                     return Status::Ok;
                 }
-                Time done = 0;
-                Status fst = fetchPage(ctx, f, page_idx, data, valid,
-                                       &done);
-                if (!ok(fst))
-                    return fst;
-                PFrame &pf = arena_.frame(arena_.frameOf(data));
-                pf.readyTime.store(done, std::memory_order_release);
+                // The demand fetch is a one-page split-phase fetch,
+                // submitted blocking and collected at once.
+                PendingFetch fetch;
+                fetch.startIdx = page_idx;
+                fetch.n = 1;
+                fetch.single = true;
+                fetch.slots[0].frame = arena_.frameOf(data);
+                submitClaimedFetch(ctx, f, fetch, /*blocking=*/true);
+                rpc::RpcResponse resp = collectFetch(fetch, valid);
+                f.fetchInFlight.fetch_sub(1);
+                if (!ok(resp.status))
+                    return resp.status;
+                PFrame &pf = arena_.frame(fetch.slots[0].frame);
+                pf.readyTime.store(resp.done, std::memory_order_release);
                 if (diff_merge) {
                     // §3.1: "a working copy to which local writes are
                     // performed, and a pristine copy preserved when
@@ -1360,14 +1160,24 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
                     ctx.chargeGpuMem(params_.pageSize);
                     pf.pristineFrame.store(pr, std::memory_order_release);
                 }
-                return fst;
+                return Status::Ok;
             });
         if (st == Status::NoSpace) {
-            unsigned freed = reclaimFrames(
-                ctx, params_.reclaimBatch,
-                f.tenant.load(std::memory_order_relaxed));
-            if (freed == 0)
-                return Status::NoSpace;
+            const uint8_t tenant = f.tenant.load(std::memory_order_relaxed);
+            if (reclaimFrames(ctx, params_.reclaimBatch, tenant) == 0) {
+                // A pass that frees nothing is exhaustion only when
+                // nothing can change: another block's reclaim may have
+                // freed every evictable frame between our failed claim
+                // and our pass, or frames may be mid-fill or
+                // mid-eviction. Bounded, like pinPageRetry, in case an
+                // in-flight claim's collector never runs.
+                // A diff-merge pin needs a second frame, its pristine.
+                if (!framesInMotion(tenant, diff_merge ? 2 : 1) ||
+                    ++idle_reclaims > 4096) {
+                    return Status::NoSpace;
+                }
+                std::this_thread::yield();
+            }
             continue;
         }
         if (!ok(st))
@@ -1387,7 +1197,8 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
         *frame_out = frame;
         *fpage_out = p;
         if (did_init && readAheadEnabled() && !skip_fetch && !f.wronce) {
-            readAheadFrom(ctx, f, page_idx);
+            readAhead(ctx, f, page_idx, page_idx, /*out=*/nullptr,
+                      UINT_MAX);
         }
         return Status::Ok;
     }
@@ -1450,11 +1261,9 @@ BufferCache::submitClaimedFetch(gpu::BlockCtx &ctx, CacheFile &f,
     return true;
 }
 
-Status
-BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
+rpc::RpcResponse
+BufferCache::collectFetch(PendingFetch &pf, uint32_t *valid)
 {
-    if (!pf.rpcSlot)
-        return Status::Ok;
     rpc::RpcResponse resp = queue.collect(*pf.rpcSlot);
     pf.rpcSlot = nullptr;
     if (pf.peer)
@@ -1463,18 +1272,14 @@ BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
         cntReadRpcs.inc();
     else
         cntBatchReadRpcs.inc();
-    if (ok(resp.status) && pf.peer) {
+    if (!ok(resp.status))
+        return resp;
+    if (pf.peer) {
         cntPeerPagesForwarded.inc(resp.peerPages);
         cntPeerPagesFallback.inc(pf.n - std::min<uint32_t>(pf.n,
                                                            resp.peerPages));
     }
-    if (!ok(resp.status)) {
-        f.cache->abortInitBatch(pf.slots, pf.n);
-        f.fetchInFlight.fetch_sub(1);
-        return resp.status;
-    }
     const uint64_t page_size = params_.pageSize;
-    uint32_t valid[rpc::kMaxBatchPages];
     for (unsigned i = 0; i < pf.n; ++i) {
         uint64_t base = uint64_t(i) * page_size;
         uint64_t got = resp.bytes > base
@@ -1484,6 +1289,21 @@ BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
             std::memset(arena_.data(pf.slots[i].frame) + got, 0,
                         page_size - got);
         }
+    }
+    return resp;
+}
+
+Status
+BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
+{
+    if (!pf.rpcSlot)
+        return Status::Ok;
+    uint32_t valid[rpc::kMaxBatchPages];
+    rpc::RpcResponse resp = collectFetch(pf, valid);
+    if (!ok(resp.status)) {
+        f.cache->abortInitBatch(pf.slots, pf.n);
+        f.fetchInFlight.fetch_sub(1);
+        return resp.status;
     }
     f.cache->finishInitBatch(pf.slots, pf.n, valid, resp.done, pf.spec,
                              pf.specStream);
@@ -1504,24 +1324,6 @@ BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
     }
     f.fetchInFlight.fetch_sub(1);
     return Status::Ok;
-}
-
-bool
-BufferCache::fetchBatch(gpu::BlockCtx &ctx, CacheFile &f,
-                        uint64_t start_idx, const BatchSlot *slots,
-                        unsigned n, bool spec, uint8_t stream)
-{
-    PendingFetch pf;
-    pf.startIdx = start_idx;
-    pf.n = n;
-    pf.single = false;
-    pf.spec = spec;
-    pf.specStream = stream;
-    std::copy(slots, slots + n, pf.slots);
-    // The synchronous path holds no uncollected slots, so blocking for
-    // a queue slot is safe here (and is the pre-async behavior).
-    submitClaimedFetch(ctx, f, pf, /*blocking=*/true);
-    return ok(completeFetch(f, pf));
 }
 
 bool
@@ -1624,6 +1426,14 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
                              uint64_t run_first, uint64_t run_last,
                              PendingFetch *out, unsigned max_fetches)
 {
+    return readAhead(ctx, f, run_first, run_last, out, max_fetches);
+}
+
+unsigned
+BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
+                       uint64_t run_last, PendingFetch *out,
+                       unsigned max_fetches)
+{
     FileCache &c = *f.cache;
     const uint64_t page_size = params_.pageSize;
     const uint64_t fsize = f.size.load(std::memory_order_relaxed);
@@ -1644,6 +1454,29 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
         return 0;
     const uint64_t eof_page = (fsize + page_size - 1) / page_size;
     unsigned fetches = 0;
+    PendingFetch sync_fetch;
+    // Issue one claimed run as a speculative batch. Split-phase (@p
+    // out) the RPC stays in flight for the async request table to
+    // collect; synchronously it is waited out before the next claim.
+    // @return false when the walk must stop (queue full, or a failed
+    // synchronous fetch).
+    auto issue = [&](PendingFetch &pf, uint64_t idx, unsigned n) -> bool {
+        pf.startIdx = idx;
+        pf.n = n;
+        pf.single = false;
+        pf.spec = true;
+        pf.specStream = plan.stream;
+        if (out) {
+            if (!submitClaimedFetch(ctx, f, pf, /*blocking=*/false))
+                return false;
+        } else {
+            submitClaimedFetch(ctx, f, pf, /*blocking=*/true);
+            if (!ok(completeFetch(f, pf)))
+                return false;
+        }
+        ++fetches;
+        return true;
+    };
 
     if (plan.stride != 1) {
         // Strided pattern: prefetch the pages the stride predicts, one
@@ -1661,7 +1494,7 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
                 break;
             if (arena_.freeCount() <= claimReserve())
                 break;
-            PendingFetch &pf = out[fetches];
+            PendingFetch &pf = out ? out[fetches] : sync_fetch;
             if (c.beginInitBatch(idx, 1, pf.slots) == 0) {
                 if (prefetchStepOver(c, idx)) {
                     covered = idx;
@@ -1669,14 +1502,8 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
                 }
                 break;
             }
-            pf.startIdx = idx;
-            pf.n = 1;
-            pf.single = false;
-            pf.spec = true;
-            pf.specStream = plan.stream;
-            if (!submitClaimedFetch(ctx, f, pf, /*blocking=*/false))
+            if (!issue(pf, idx, 1))
                 break;
-            ++fetches;
             covered = idx;
         }
         if (adaptiveReadAhead() && covered != run_last)
@@ -1698,13 +1525,15 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
         // boundary (the next iteration re-evaluates the next group).
         max_n = shardRunCap(f, idx, max_n);
         // Claim reserve (see submitPageFetch): prefetch never takes
-        // the frames synchronous pins would need to reclaim.
+        // the frames synchronous pins would need to reclaim (it must
+        // never page out on its own behalf, and it must not starve
+        // demand pins either).
         uint32_t free_frames = arena_.freeCount();
         uint32_t reserve = claimReserve();
         if (free_frames <= reserve)
             break;
         max_n = std::min(max_n, free_frames - reserve);
-        PendingFetch &pf = out[fetches];
+        PendingFetch &pf = out ? out[fetches] : sync_fetch;
         unsigned n = c.beginInitBatch(idx, max_n, pf.slots);
         if (n == 0) {
             if (prefetchStepOver(c, idx)) {
@@ -1713,14 +1542,8 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
             }
             break;
         }
-        pf.startIdx = idx;
-        pf.n = n;
-        pf.single = false;
-        pf.spec = true;
-        pf.specStream = plan.stream;
-        if (!submitClaimedFetch(ctx, f, pf, /*blocking=*/false))
-            break;      // queue full: claim rolled back, stop prefetch
-        ++fetches;
+        if (!issue(pf, idx, n))
+            break;
         idx += n;
     }
     // Advance the stream past the covered span (prefetched or already
@@ -1833,96 +1656,6 @@ BufferCache::peerAdoptResident(CacheFile &f, uint64_t page_idx,
     if (arena_.freeCount() <= claimReserve())
         return false;
     return f.cache->tryAdoptPage(page_idx, src, valid, ready, tenant);
-}
-
-void
-BufferCache::readAheadFrom(gpu::BlockCtx &ctx, CacheFile &f,
-                           uint64_t page_idx)
-{
-    FileCache &c = *f.cache;
-    const uint64_t page_size = params_.pageSize;
-    const uint64_t fsize = f.size.load(std::memory_order_relaxed);
-    if (fsize == 0 || f.hostFd < 0)
-        return;
-    // Diff-and-merge exclusion (see submitReadAhead): batch-published
-    // pages carry no pristine snapshot, which merges depend on.
-    if (diffMergeActive(f))
-        return;
-    // One policy decision per miss (stream-fed even at window 0).
-    ReadAheadStreams::Decision plan = planReadAhead(
-        f, ctx.blockId(), page_idx, page_idx);
-    if (plan.window == 0)
-        return;
-    const uint64_t eof_page = (fsize + page_size - 1) / page_size;
-
-    if (plan.stride != 1) {
-        // Strided pattern (adaptive only): one page per RPC along the
-        // stride — never the gaps (see submitReadAhead).
-        uint64_t covered = page_idx;
-        for (unsigned k = 1; k <= plan.window; ++k) {
-            int64_t sidx = static_cast<int64_t>(page_idx) +
-                static_cast<int64_t>(k) * plan.stride;
-            if (sidx < 0)
-                break;
-            uint64_t idx = static_cast<uint64_t>(sidx);
-            if (idx >= eof_page || idx > FileCache::maxPageIndex())
-                break;
-            if (arena_.freeCount() <= claimReserve())
-                break;
-            BatchSlot slot;
-            if (c.beginInitBatch(idx, 1, &slot) == 0) {
-                if (prefetchStepOver(c, idx)) {
-                    covered = idx;
-                    continue;
-                }
-                break;
-            }
-            if (!fetchBatch(ctx, f, idx, &slot, 1, /*spec=*/true,
-                            plan.stream))
-                break;
-            covered = idx;
-        }
-        if (adaptiveReadAhead() && covered != page_idx)
-            f.ra.advance(plan.stream, covered);
-        return;
-    }
-
-    // Clamp at radix capacity as well as EOF (see submitReadAhead).
-    const uint64_t end = std::min<uint64_t>(
-        std::min<uint64_t>(page_idx + 1 + plan.window, eof_page),
-        FileCache::maxPageIndex() + 1);
-    uint64_t idx = page_idx + 1;
-    while (idx < end) {
-        unsigned max_n = static_cast<unsigned>(
-            std::min<uint64_t>(end - idx, rpc::kMaxBatchPages));
-        // One owner per batch (shard-group clipping, no-op private).
-        max_n = shardRunCap(f, idx, max_n);
-        // Claim reserve: prefetch never takes the frames synchronous
-        // pins would need to reclaim (it must never page out on its
-        // own behalf, and it must not starve demand pins either).
-        uint32_t free_frames = arena_.freeCount();
-        uint32_t reserve = claimReserve();
-        if (free_frames <= reserve)
-            break;
-        max_n = std::min(max_n, free_frames - reserve);
-        BatchSlot slots[rpc::kMaxBatchPages];
-        unsigned n = c.beginInitBatch(idx, max_n, slots);
-        if (n == 0) {
-            if (prefetchStepOver(c, idx)) {
-                ++idx;
-                continue;
-            }
-            break;
-        }
-        if (!fetchBatch(ctx, f, idx, slots, n, /*spec=*/true,
-                        plan.stream))
-            break;
-        idx += n;
-    }
-    // Next sequential miss lands one past the covered span; advance so
-    // the stream reads it as a continuation.
-    if (adaptiveReadAhead() && idx > page_idx + 1)
-        f.ra.advance(plan.stream, idx - 1);
 }
 
 } // namespace core

@@ -60,7 +60,7 @@ class VictimCache;
 struct CacheFile {
     /** Adaptive read-ahead: this file's per-stream access-pattern
      *  table and prefetch-feedback state (see readahead.hh). Consulted
-     *  at the decision points (readAheadFrom / submitReadAhead) under
+     *  at the decision point (the read-ahead walk) under
      *  no other lock — each consult resolves the requesting block's
      *  stream slot; fed back from promotion (pinPage) and eviction
      *  (FileCache::retireSpeculative) through the stream tag published
@@ -220,23 +220,14 @@ class EvictionPolicy
 /** Instantiate the policy selected by GpuFsParams::evictPolicy. */
 std::unique_ptr<EvictionPolicy> makeEvictionPolicy(EvictionPolicyKind kind);
 
-/** One gathered write-back extent: @p len bytes at GPU pointer @p data
- *  landing at absolute file offset @p off. Up to rpc::kMaxBatchPages
- *  of these ride one WritePages RPC. */
-struct WriteExtent {
-    uint64_t off;
-    uint32_t len;
-    const uint8_t *data;
-};
-
 /**
- * One split-phase page fetch in flight (non-blocking I/O core): the
- * pages were claimed under their fpage locks (beginInitBatch protocol,
- * locks HELD until completeFetch publishes or aborts) and the RPC —
- * a single ReadPage or a batched ReadPages — is outstanding in the
- * queue. The init-batch lifetime spans submission→wait instead of one
- * call, which is exactly what lets the submitting block compute while
- * the daemon fills the frames.
+ * One page fetch in flight: the pages were claimed under their fpage
+ * locks (beginInitBatch protocol, locks HELD until completeFetch
+ * publishes or aborts) and the RPC — a single ReadPage or a batched
+ * ReadPages — is outstanding in the queue. Split-phase, the init-batch
+ * lifetime spans submission→wait instead of one call, which is exactly
+ * what lets the submitting block compute while the daemon fills the
+ * frames; a synchronous fetch is the same submit, waited out at once.
  */
 struct PendingFetch {
     rpc::RpcSlot *rpcSlot = nullptr;
@@ -258,22 +249,28 @@ struct PendingFetch {
 };
 
 /**
- * One split-phase dirty-extent write-back in flight: the extents were
- * atomically taken (takeDirtyBatch protocol, fpage locks HELD until
- * completeFlush) and the WritePages RPC is outstanding. The owning
+ * One dirty-extent write-back in flight: one owner partition of a take
+ * (takeDirtyBatch protocol, fpage locks HELD until completeFlush) whose
+ * WritePages or PeerWritePages RPC is outstanding. The owning
  * CacheFile's wbInFlight stays elevated until completion so fd release
- * cannot slip under the RPC.
+ * cannot slip under the RPC. Every write-back of gathered extents is
+ * one of these: split-phase gfsync rounds collect at wait, the
+ * synchronous drain and diff-and-merge runs collect at once.
  */
 struct PendingFlush {
     rpc::RpcSlot *rpcSlot = nullptr;
     unsigned n = 0;                          ///< extents taken
     bool zeroDiff = false;
-    /** Sharded multi-GPU: this batch went out as PeerWritePages toward
-     *  @p peerGpu (counter attribution at collection). Split-phase
-     *  flushes of sharded files partition each take by page owner into
-     *  one PendingFlush per owner, mirroring writeBatchSharded. */
+    /** Sharded multi-GPU: this batch goes out as PeerWritePages toward
+     *  @p peerGpu, mirroring into the owner's copy if it still sits at
+     *  @p baseVersion; @p publish lets the owner adopt the post-write
+     *  version (see BufferCache::partitionTake). */
     bool peer = false;
     unsigned peerGpu = 0;
+    uint64_t baseVersion = 0;
+    bool publish = false;
+    /** The extents; ext[i].page is null for diff-and-merge runs, which
+     *  are not taken (their caller holds the page). */
     DirtyExtent ext[rpc::kMaxBatchPages];
     /** The take's staged bytes (ext[i].data points into it), shared by
      *  every partition of one take; the RPC reads them until
@@ -358,9 +355,10 @@ class BufferCache
 
     /**
      * Write back every dirty, unpinned page of @p f whose page index
-     * lies in [first_page, last_page). With batchWriteback (default)
-     * the dirty extents are coalesced into WritePages RPCs of up to
-     * rpc::kMaxBatchPages pages each; extents of pages that fail are
+     * lies in [first_page, last_page). Each take of up to
+     * rpc::kMaxBatchPages dirty extents is partitioned by page owner
+     * and each partition submitted and collected in turn (submitFlush's
+     * RPCs, waited out at once); extents of partitions that fail are
      * restored so a later sync can retry. Advances @p ctx past the
      * last completion. @p pages_out, when non-null, receives the
      * number of pages written back (gfsync, eviction, gftruncate and
@@ -414,10 +412,10 @@ class BufferCache
      * policy (static window, or the file's adaptive tracker), claims
      * runs of missing pages in the granted window and submits their
      * ReadPages RPCs, appending up to @p max_fetches entries to
-     * @p out. Unlike readAheadFrom the RPCs stay in flight — the async
-     * request table collects them at gwait. Non-unit strides prefetch
-     * one page per RPC (the gaps must not be fetched). @return fetches
-     * submitted.
+     * @p out. The RPCs stay in flight — the async request table
+     * collects them at gwait. Non-unit strides prefetch one page per
+     * RPC (the gaps must not be fetched). The same walk serves the
+     * synchronous miss path (pinPage). @return fetches submitted.
      */
     unsigned submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
                              uint64_t run_first, uint64_t run_last,
@@ -436,26 +434,23 @@ class BufferCache
     /**
      * Split-phase gfsync front half: take up to @p max_batches batches
      * of dirty extents of @p f in [first_page, last_page) and submit
-     * their WritePages RPCs without waiting. Only on the batched,
-     * non-diff-merge path (callers fall back to a synchronous
-     * flushDirty at wait time otherwise — completeFlush + a residual
-     * flushDirty is always correct). Sharded files partition each take
-     * by page owner — self-owned extents ride WritePages, each peer
-     * owner's one PeerWritePages — consuming one output slot per
-     * partition, so the async rounds drain through the same
-     * owner-partitioned routing as the wait-time flushDirty. Each
-     * pending batch elevates f.wbInFlight until its completeFlush.
+     * their RPCs without waiting. Not for diff-and-merge files (callers
+     * fall back to a synchronous flushDirty at wait time — completeFlush
+     * + a residual flushDirty is always correct). Each take is
+     * partitioned by page owner exactly as flushDirty's (partitionTake),
+     * consuming one output slot per partition. Each pending batch
+     * elevates f.wbInFlight until its completeFlush.
      * @return batches submitted.
      */
     unsigned submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
                          uint64_t first_page, uint64_t last_page,
                          PendingFlush *out, unsigned max_batches);
 
-    /** Collect one split-phase write-back: wait out the RPC, release
+    /** Collect one write-back: wait out the RPC, count it, release
      *  the extents (restored for retry on failure), update the file
-     *  version. *done_out maxes with the RPC's virtual completion so
-     *  the syncing block can advance its clock past the write.
-     *  @return the RPC's status. */
+     *  version and needsFsync, drop the in-flight mark. *done_out maxes
+     *  with the RPC's virtual completion so the syncing block can
+     *  advance its clock past the write. @return the RPC's status. */
     Status completeFlush(CacheFile &f, PendingFlush &pf,
                          Time *done_out = nullptr);
 
@@ -580,7 +575,7 @@ class BufferCache
     }
 
     /** True when any read-ahead can be issued at all (miss paths gate
-     *  their readAheadFrom / submitReadAhead calls on this). */
+     *  read-ahead walks on this). */
     bool
     readAheadEnabled() const
     {
@@ -687,10 +682,6 @@ class BufferCache
 
     static CacheCounters cacheCounters(StatSet &stat_set);
 
-    /** Fetch one page's content from the host (or zero-fill). */
-    Status fetchPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
-                     uint8_t *data, uint32_t *valid, Time *done);
-
     /**
      * Resolve the read-ahead window for a demand miss on pages
      * [run_first, run_last] of @p f: the static window when
@@ -719,45 +710,27 @@ class BufferCache
             std::min<uint64_t>(max_n, end - start_idx));
     }
 
-    /** Issue one PeerWritePages RPC carrying @p n gathered extents of
-     *  @p f toward @p owner_gpu (host write-through + owner mirror;
-     *  see the op's contract). @p base_version gates the owner-side
-     *  mirror; @p publish permits the post-write version publish
-     *  (single-partition flushes only). Updates f.version /
-     *  needsFsync like writeExtentsRpc. */
-    Status peerWriteExtentsRpc(CacheFile &f, unsigned owner_gpu,
-                               const WriteExtent *ext, unsigned n,
-                               uint64_t base_version, bool publish,
-                               Time issue, Time *done_out);
-
-    /** Batched write-back dispatch: partition @p n taken extents by
-     *  page owner and issue one WritePages (self/host) or
-     *  PeerWritePages (each peer owner) RPC per partition.
-     *  @p ext_failed (size n, may be null) marks the extents of
-     *  partitions whose RPC failed, so the caller restores exactly
-     *  those — already-durable siblings must not be re-marked dirty.
-     *  @return first failure. */
-    Status writeBatchSharded(CacheFile &f, const DirtyExtent *ext,
-                             unsigned n, Time issue, Time *done_out,
-                             bool *ext_failed = nullptr);
-
-    /** Read-ahead from a miss at @p page_idx (policy-decided window,
-     *  see planReadAhead): coalesces runs of missing pages into
-     *  batched ReadPages RPCs, published speculative. */
-    void readAheadFrom(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx);
-
-    /** Issue one batched fetch for @p n already-claimed slots starting
-     *  at @p start_idx and wait it out; @p spec marks a read-ahead
-     *  batch (speculative publish, tagged with @p stream). @return
-     *  false on RPC failure (slots aborted). */
-    bool fetchBatch(gpu::BlockCtx &ctx, CacheFile &f, uint64_t start_idx,
-                    const BatchSlot *slots, unsigned n, bool spec,
-                    uint8_t stream = ReadAheadStreams::kNoStream);
+    /**
+     * The read-ahead window walk for a demand miss on pages
+     * [run_first, run_last] (policy-decided window, see planReadAhead):
+     * claims runs of missing pages — contiguous runs clipped to one
+     * shard group and to the claim reserve, or single pages along a
+     * stride — and issues each as a speculative ReadPages batch. With
+     * @p out the RPCs go out split-phase (up to @p max_fetches appended
+     * there, stopping at a full queue); with null @p out each is
+     * submitted blocking and collected before the next claim (the sync
+     * miss path). @return fetches issued.
+     */
+    unsigned readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
+                       uint64_t run_last, PendingFetch *out,
+                       unsigned max_fetches);
 
     /**
      * Build and submit the RPC for a PendingFetch whose slots are
-     * already claimed (shared by the sync and split-phase paths);
-     * elevates f.fetchInFlight until completeFetch. @p blocking
+     * already claimed (the one read-RPC builder: split-phase, sync
+     * read-ahead and pinPage's demand fill); elevates f.fetchInFlight
+     * until the fetch is collected (completeFetch, or the demand fill
+     * once its page is decoded). @p blocking
      * callers (the synchronous fetch path — they hold no uncollected
      * slots) may wait for a queue slot; split-phase callers must not
      * (deadlock cycle, see RpcQueue::trySubmit) — for them a full
@@ -766,18 +739,41 @@ class BufferCache
     bool submitClaimedFetch(gpu::BlockCtx &ctx, CacheFile &f,
                             PendingFetch &pf, bool blocking);
 
-    /** Issue one WritePages RPC carrying @p n gathered extents of @p f
-     *  (one CPU-slot charge, one D2H DMA reservation, one pwritev on
-     *  the host). Updates f.version on success. *done_out receives the
-     *  completion time. */
-    Status writeExtentsRpc(CacheFile &f, const WriteExtent *ext,
-                           unsigned n, bool zero_diff, Time issue,
-                           Time *done_out);
+    /** Wait out @p pf's RPC and decode the response: count the RPC
+     *  (and a peer read's forwarded/fallback pages), zero-fill each
+     *  page past the bytes read and fill valid[0..pf.n). Publishing is
+     *  the caller's (completeFetch, or pinPage's fill). */
+    rpc::RpcResponse collectFetch(PendingFetch &pf, uint32_t *valid);
 
-    /** Legacy per-page flush (batchWriteback off, or diff-and-merge
-     *  files, whose extents must diff against GPU-side pristine
-     *  copies). Honors the same @p max_pages cap as the batched
-     *  path. */
+    /**
+     * Partition one take of @p n dirty extents by page owner into
+     * @p parts, one per owner in first-extent order: self-owned extents
+     * ride one WritePages, each peer owner's one PeerWritePages
+     * (private files are one self partition). Sets each partition's
+     * peer mirror gate to the version before the take's first write,
+     * and permits the post-write publish only for a one-partition take.
+     * @return partitions, or 0 when they would exceed @p max_parts.
+     */
+    unsigned partitionTake(CacheFile &f, const DirtyExtent *take,
+                           unsigned n, PendingFlush *parts,
+                           unsigned max_parts);
+
+    /** Build and submit @p pf's WritePages or PeerWritePages RPC,
+     *  issued at @p issue; elevates f.wbInFlight until completeFlush.
+     *  As submitClaimedFetch, only non-@p blocking callers can see a
+     *  full queue: the extents are then restored. @return false iff
+     *  not submitted. */
+    bool submitFlushRpc(CacheFile &f, PendingFlush &pf, Time issue,
+                        bool blocking);
+
+    /** True when a NoSpace pin may yet succeed: @p tenant can take
+     *  the @p need free frames it needs, or one of the frames it could
+     *  reclaim is mid-fill or mid-eviction. */
+    bool framesInMotion(uint8_t tenant, uint32_t need);
+
+    /** Per-page flush for diff-and-merge files, whose extents must
+     *  diff against GPU-side pristine copies. Honors the same
+     *  @p max_pages cap as the batched path. */
     Status flushDirtyPerPage(gpu::BlockCtx &ctx, CacheFile &f,
                              uint64_t first_page, uint64_t last_page,
                              unsigned *pages_out, uint64_t max_pages);

@@ -13,13 +13,12 @@ namespace core {
 namespace {
 
 /**
- * Pin with a bounded retry on transient arena exhaustion. Split-phase
- * claims are unreclaimable until their owning block collects them, so
- * under heavy multi-block pressure a reclaim pass can momentarily find
- * nothing evictable even though frames are seconds (of real time) from
- * coming back — every in-flight claim has a collector that needs no
- * frames to run. Persistent exhaustion (frames leaked under pins)
- * still surfaces as NoSpace.
+ * Pin with a bounded retry on transient arena exhaustion. pinPage
+ * itself waits out frames that are mid-fill or mid-eviction (split-
+ * phase claims included); what it reports as NoSpace is an arena whose
+ * every reclaimable frame is pinned, and other blocks' pins are
+ * usually moments from release. Persistent exhaustion (frames leaked
+ * under pins) still surfaces as NoSpace.
  */
 Status
 pinPageRetry(BufferCache &bc, gpu::BlockCtx &ctx, CacheFile &cf,

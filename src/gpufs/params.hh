@@ -154,17 +154,6 @@ struct GpuFsParams {
     unsigned reclaimBatch = 16;
 
     /**
-     * Batched write-back (the ReadPages symmetry, on by default):
-     * gfsync, dirty eviction and gftruncate coalesce up to
-     * rpc::kMaxBatchPages dirty page extents into one WritePages RPC —
-     * one request slot, one per-request CPU charge, one gathered
-     * HostFs::pwritev, one D2H DMA reservation — instead of one
-     * WriteBack round-trip per dirty page. Off reverts to the per-page
-     * path (bench/ablate_writeback quantifies the gap).
-     */
-    bool batchWriteback = true;
-
-    /**
      * Async write-back daemon (§3.3: dirty pages are "written back ...
      * asynchronously" so GPU threads never stall on host I/O; off by
      * default, matching the prototype's sync-on-gfsync behavior). A

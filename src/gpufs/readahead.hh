@@ -29,7 +29,7 @@
  *
  * One tracker per CacheFile, embedded next to the radix cache it
  * describes. All pattern state lives under a private spinlock: the
- * decision points (BufferCache::readAheadFrom / submitReadAhead) run
+ * decision point (BufferCache::readAhead, the one window walk) runs
  * on application block threads, promotion runs on whichever block pins
  * first, and waste accounting runs under the paging lock — the lock
  * here is always innermost and never held across a call out.

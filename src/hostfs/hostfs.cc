@@ -1,6 +1,7 @@
 #include "hostfs/hostfs.hh"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "base/logging.hh"
 
@@ -445,7 +446,6 @@ HostFs::capturePreImage(const std::shared_ptr<Inode> &node, uint64_t offset,
         std::lock_guard<std::mutex> lock(mtx);
         v.ino = node->ino;
         v.prevSize = node->size;
-        v.prevVersion = node->version;
     }
     // Bytes past the old EOF restore as zeros (InMemoryContent grows
     // zero-filled), so a reverted extending write leaves no residue.
@@ -501,14 +501,24 @@ HostFs::powerLoss()
         lost.swap(vlog);
     }
     // Revert newest first so overlapping writes unwind to the oldest
-    // durable state; sizes and versions roll back with the earliest
-    // record per inode (applied last).
+    // durable state; sizes roll back with the earliest record per
+    // inode (applied last).
+    std::unordered_set<Inode *> reverted;
     for (auto it = lost.rbegin(); it != lost.rend(); ++it) {
         it->node->content->writeAt(it->offset, it->oldData.size(),
                                    it->oldData.data());
         std::lock_guard<std::mutex> lock(mtx);
         it->node->size = it->prevSize;
-        it->node->version = it->prevVersion;
+        reverted.insert(it->node.get());
+    }
+    // Versions never roll back: a destroyed write's version still names
+    // its bytes wherever a version-gated consumer kept them (the victim
+    // tier, a GPU cache revalidated at reopen), so the reverted content
+    // gets a version past every one the inode has published.
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        for (Inode *node : reverted)
+            node->version++;
     }
     pageCache.dropAll();
 }

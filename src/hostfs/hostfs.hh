@@ -180,8 +180,10 @@ class HostFs
 
     /**
      * Simulated power loss: every write that was never covered by an
-     * fsync is reverted to its pre-image (newest first), file sizes and
-     * versions roll back with them, and the host page cache drops.
+     * fsync is reverted to its pre-image (newest first), file sizes roll
+     * back with them, each reverted inode's version steps past every
+     * version it has published (so no later write can reuse one), and
+     * the host page cache drops.
      * Pre-images are only captured while a crash point is armed, so
      * fault-free runs pay nothing.
      */
@@ -227,7 +229,6 @@ class HostFs
         uint64_t offset;
         std::vector<uint8_t> oldData;
         uint64_t prevSize;
-        uint64_t prevVersion;
     };
 
     sim::SimContext &sim;

@@ -1,16 +1,20 @@
 /** @file Unit tests for the BufferCache eviction policies. The fixture
  *  builds a BufferCache directly on a device + RPC queue — no GpuFs
  *  instance — which is itself part of the contract under test: the
- *  cache layer must be independently constructible. */
+ *  cache layer must be independently constructible. The reclaim race
+ *  test at the end drives a whole system from eight block threads. */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "consistency/consistency.hh"
 #include "gpu/device.hh"
 #include "gpufs/buffer_cache.hh"
+#include "gpufs/system.hh"
 #include "hostfs/hostfs.hh"
 #include "rpc/daemon.hh"
 #include "tests/testutil.hh"
@@ -241,6 +245,59 @@ TEST_F(EvictionTest, PinnedPagesSurviveEveryPolicy)
         f.cache->unpin(*p0);
         f.cache->unpin(*fp);
     }
+}
+
+TEST(EvictionRaceTest, ConcurrentScansNeverFailWhileFramesCanBeFreed)
+{
+    // Eight blocks each map their own slice of a file four times the
+    // size of a 32-frame arena, page by page, with demotion into the
+    // victim tier widening each eviction. A block that finds the arena
+    // empty reclaims; another block's reclaim may have freed (or still
+    // be freeing) every evictable frame, so this block's own pass frees
+    // none. That is contention, not exhaustion: 8 blocks pin at most 8
+    // frames, so a map must never fail here. The race needs two or
+    // more CPUs to show, and then fails a trial about half the time.
+    constexpr uint64_t kBig = 64 * KiB;
+    constexpr unsigned kBlocks = 8;
+    constexpr uint64_t kSpan = 16;      // pages per block
+    GpuFsParams p;
+    p.pageSize = kBig;
+    p.cacheBytes = 32 * kBig;
+    p.readAheadPolicy = ReadAheadPolicy::Static;
+    p.victimCachePages = 256;
+    std::atomic<unsigned> failures{0};
+    for (unsigned trial = 0; trial < 10; ++trial) {
+        GpufsSystem sys(1, p);
+        test::addRamp(sys.hostFs(), "/scan", kBlocks * kSpan * kBig);
+        std::vector<std::thread> blocks;
+        for (unsigned b = 0; b < kBlocks; ++b) {
+            blocks.emplace_back([&, b] {
+                auto ctx = test::makeBlock(sys.device(0), b);
+                GpuFs &fs = sys.fs();
+                int fd = fs.gopen(ctx, "/scan", G_RDONLY);
+                ASSERT_GE(fd, 0);
+                for (unsigned round = 0; round < 3; ++round) {
+                    for (uint64_t idx = b * kSpan; idx < (b + 1) * kSpan;
+                         ++idx) {
+                        uint64_t mapped = 0;
+                        void *ptr = fs.gmmap(ctx, fd, idx * kBig, kBig,
+                                             &mapped);
+                        if (!ptr) {
+                            failures.fetch_add(1);
+                            continue;
+                        }
+                        EXPECT_EQ(test::rampByte(idx * kBig + 5),
+                                  static_cast<uint8_t *>(ptr)[5]);
+                        fs.gmunmap(ctx, ptr);
+                    }
+                }
+                fs.gclose(ctx, fd);
+            });
+        }
+        for (auto &t : blocks)
+            t.join();
+    }
+    EXPECT_EQ(0u, failures.load());
 }
 
 } // namespace

@@ -247,6 +247,109 @@ TEST_F(RecoveryTest, PerPageWriteBackCrashIsAllOldOrAllNew)
 }
 
 // ---------------------------------------------------------------------
+// Power loss never lets a host version repeat
+// ---------------------------------------------------------------------
+
+/**
+ * The version-gated consumers (the victim tier's probe, reopen
+ * revalidation) treat (ino, version) as naming one content. A power
+ * loss destroys the bytes of writes no fsync covered; if it also
+ * rolled the inode's version back, the next host write would reuse a
+ * number that already names the destroyed bytes. Each case: /f's
+ * partial GPU write is written back (v1 -> v2, never fsynced), an
+ * AfterWriteback crash fires on another file's write-back, the daemon
+ * restarts, and a host write then rewrites /f page 0 with 0xCC.
+ */
+class PowerLossVersionTest : public RecoveryTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        GpuFsParams p = baseParams(false);
+        p.victimCachePages = 64;
+        sys = std::make_unique<GpufsSystem>(1, p);
+        test::addBytes(sys->hostFs(), "/f", std::vector<uint8_t>(kPage, 0xAA));
+        test::addBytes(sys->hostFs(), "/g", std::vector<uint8_t>(kPage, 0x11));
+        // Armed before /f's write-back so its pre-image is captured;
+        // the countdown lets that write-back through and fires on /g's.
+        sys->sim().faults.armCrash(sim::CrashPoint::AfterWriteback, 1);
+    }
+
+    /** Partial (read-modify-write) 0xBB write into /f page 0. */
+    void
+    dirtyF(gpu::BlockCtx &ctx, int fd)
+    {
+        std::vector<uint8_t> bb(100, 0xBB);
+        ASSERT_EQ(100, sys->fs().gwrite(ctx, fd, 10, bb.size(), bb.data()));
+    }
+
+    /** Crash on /g's write-back, restart, then the host write to /f. */
+    void
+    crashThenHostWrite(gpu::BlockCtx &ctx)
+    {
+        int gfd = sys->fs().gopen(ctx, "/g", G_RDWR);
+        ASSERT_GE(gfd, 0);
+        std::vector<uint8_t> x(100, 0x22);
+        ASSERT_EQ(100, sys->fs().gwrite(ctx, gfd, 0, x.size(), x.data()));
+        (void)sys->fs().gfsync(ctx, gfd);
+        ASSERT_TRUE(sys->sim().faults.crashed()) << "crash point never fired";
+        sys->restartDaemon();
+        expectHostPages("/f", 0, 1, 0xAA, "reverted /f");
+        int hfd = sys->hostFs().open("/f", hostfs::O_RDWR_F);
+        ASSERT_GE(hfd, 0);
+        std::vector<uint8_t> cc(kPage, 0xCC);
+        ASSERT_EQ(Status::Ok,
+                  sys->hostFs().pwrite(hfd, cc.data(), kPage, 0).status);
+        sys->hostFs().close(hfd);
+    }
+
+    void
+    expectGread(gpu::BlockCtx &ctx, int fd)
+    {
+        std::vector<uint8_t> got(100);
+        ASSERT_EQ(100, sys->fs().gread(ctx, fd, 10, got.size(), got.data()));
+        for (uint8_t b : got)
+            ASSERT_EQ(0xCC, b) << "served bytes the power loss destroyed";
+    }
+};
+
+TEST_F(PowerLossVersionTest, VictimTierNeverServesDestroyedBytes)
+{
+    auto ctx = test::makeBlock(sys->device(0));
+    int fd = sys->fs().gopen(ctx, "/f", G_RDWR);
+    ASSERT_GE(fd, 0);
+    dirtyF(ctx, fd);
+    // Eviction writes page 0 back and demotes it tagged with v2.
+    sys->fs().bufferCache().reclaimFrames(ctx, 1024);
+    ASSERT_EQ(1u, sys->daemon().stats().counter("vc_inserts").get());
+    crashThenHostWrite(ctx);
+    expectGread(ctx, fd);
+    sys->fs().gclose(ctx, fd);
+}
+
+TEST_F(PowerLossVersionTest, ReopenNeverRevalidatesDestroyedBytes)
+{
+    auto ctx = test::makeBlock(sys->device(0));
+    int fd = sys->fs().gopen(ctx, "/f", G_RDWR);
+    ASSERT_GE(fd, 0);
+    dirtyF(ctx, fd);
+    // gmsync writes page 0 back (v2) and leaves it cached, clean.
+    uint64_t mapped = 0;
+    void *ptr = sys->fs().gmmap(ctx, fd, 0, kPage, &mapped);
+    ASSERT_NE(nullptr, ptr);
+    ASSERT_EQ(Status::Ok, sys->fs().gmsync(ctx, ptr));
+    sys->fs().gmunmap(ctx, ptr);
+    crashThenHostWrite(ctx);
+    // Reopen compares the host version with the one the cache holds.
+    ASSERT_EQ(Status::Ok, sys->fs().gclose(ctx, fd));
+    fd = sys->fs().gopen(ctx, "/f", G_RDONLY);
+    ASSERT_GE(fd, 0);
+    expectGread(ctx, fd);
+    sys->fs().gclose(ctx, fd);
+}
+
+// ---------------------------------------------------------------------
 // Journal replay: torn tails (bad checksum / missing commit) discard
 // ---------------------------------------------------------------------
 
