@@ -107,7 +107,6 @@ report(const char *label, bool streaming, uint64_t file_bytes,
         {"tiered", core::EvictionPolicyKind::PaperTiered},
         {"LRU", core::EvictionPolicyKind::GlobalLru},
         {"2Q", core::EvictionPolicyKind::TwoQ},
-        {"random", core::EvictionPolicyKind::Random},
     };
     double tiered_wall = 0.0;
     for (const Row &row : rows) {
@@ -142,11 +141,11 @@ main(int argc, char **argv)
 
     bench::printTitle(
         "Ablation: tiered FIFO-like (paper, §4.2) vs global-LRU vs "
-        "2Q-style vs random reclamation",
+        "2Q-style reclamation",
         "constant-work tiered FIFO pays no policy cost; LRU scans every "
         "frame per eviction on the hijacked application thread; 2Q "
         "evicts never-repinned probationary frames first (scan "
-        "resistance); random is the cheap-but-blind baseline");
+        "resistance)");
     report("streaming", true, file_bytes, cache_bytes);
     report("skewed_80_20", false, file_bytes, cache_bytes);
     return 0;

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "base/logging.hh"
-#include "base/rng.hh"
 #include "gpufs/victim.hh"
 #include "sim/context.hh"
 
@@ -194,43 +193,6 @@ class TwoQPolicy : public EvictionPolicy
     }
 };
 
-/**
- * Ablation: uniform-random victim files, FIFO within the file. A
- * deterministic sweep backstop guarantees exhaustion still frees
- * frames (and writes dirty pages home) when the dice keep missing.
- */
-class RandomPolicy : public EvictionPolicy
-{
-  public:
-    const char *name() const override { return "random"; }
-
-    unsigned
-    reclaim(const std::vector<CacheFile *> &files, FrameArena &,
-            unsigned want, const EvictFn &evict) override
-    {
-        unsigned freed = 0;
-        if (files.empty())
-            return freed;
-        unsigned attempts = static_cast<unsigned>(files.size()) * 2 + 8;
-        for (unsigned a = 0; a < attempts && freed < want; ++a) {
-            CacheFile *f = files[rng_.nextBelow(files.size())];
-            if (!f->cache)
-                continue;
-            freed += evict(*f, true, want - freed, kNoFrame);
-        }
-        for (CacheFile *f : files) {
-            if (freed >= want)
-                break;
-            if (f->cache)
-                freed += evict(*f, true, want - freed, kNoFrame);
-        }
-        return freed;
-    }
-
-  private:
-    SplitMix64 rng_{0xE71C7E0Dull};
-};
-
 } // namespace
 
 std::unique_ptr<EvictionPolicy>
@@ -243,8 +205,6 @@ makeEvictionPolicy(EvictionPolicyKind kind)
         return std::make_unique<GlobalLruPolicy>();
       case EvictionPolicyKind::TwoQ:
         return std::make_unique<TwoQPolicy>();
-      case EvictionPolicyKind::Random:
-        return std::make_unique<RandomPolicy>();
     }
     gpufs_fatal("unknown eviction policy kind");
     return nullptr;
@@ -368,7 +328,7 @@ BufferCache::parkFile(CacheFile &f, uint64_t close_seq)
         // count 0 before its RPC landed — a split-phase fetch
         // (wait-after-close) reads through it until collected, and an
         // unretired async op may need it to refetch evicted pages at
-        // resolution. maybeReleaseClosedFd picks the fd up once they
+        // resolution. maybeReleaseFds picks the fd up once they
         // complete.
         return -1;
     }
@@ -381,9 +341,15 @@ int
 BufferCache::reopenFile(CacheFile &f, int new_host_fd)
 {
     PagingGuard lock(*this);
-    int old_fd = f.hostFd;
-    f.hostFd = new_host_fd;
+    int old_fd = f.hostFd.exchange(new_host_fd);
     f.closed = false;
+    // Fetches and write-backs raise their mark before reading hostFd,
+    // so one that still carries old_fd shows in the marks here.
+    if (old_fd >= 0 && (f.wbInFlight.load() != 0 ||
+                        f.fetchInFlight.load() != 0)) {
+        f.retiredFds.push_back(old_fd);
+        return -1;
+    }
     return old_fd;
 }
 
@@ -978,10 +944,11 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
     }
 
     // Closed files whose last dirty page just went home can release
-    // their host fd (and with it the host-side write claim).
+    // their host fd (and with it the host-side write claim); reopened
+    // files whose old fd's RPCs have landed, that fd.
     for (CacheFile *f : attached_) {
-        if (f->closed && f->cache)
-            maybeReleaseClosedFdLocked(ctx, *f);
+        if (f->cache && (f->closed || !f->retiredFds.empty()))
+            maybeReleaseFdsLocked(ctx, *f);
     }
     return freed;
 }
@@ -1010,26 +977,35 @@ BufferCache::framesInMotion(uint8_t tenant, uint32_t need)
 }
 
 void
-BufferCache::maybeReleaseClosedFd(gpu::BlockCtx &ctx, CacheFile &f)
+BufferCache::maybeReleaseFds(gpu::BlockCtx &ctx, CacheFile &f)
 {
     PagingGuard lock(*this);
-    maybeReleaseClosedFdLocked(ctx, f);
+    maybeReleaseFdsLocked(ctx, f);
 }
 
 void
-BufferCache::maybeReleaseClosedFdLocked(gpu::BlockCtx &ctx, CacheFile &f)
+BufferCache::maybeReleaseFdsLocked(gpu::BlockCtx &ctx, CacheFile &f)
 {
-    if (f.closed && f.hostFd >= 0 && f.cache &&
-        f.cache->dirtyCount() == 0 && f.wbInFlight.load() == 0 &&
-        f.fetchInFlight.load() == 0 && f.opInFlight.load() == 0) {
+    // With both marks at 0 no RPC can still carry an old fd (see
+    // reopenFile).
+    if (f.wbInFlight.load() != 0 || f.fetchInFlight.load() != 0)
+        return;
+    auto close_fd = [&](int fd) {
         rpc::RpcRequest req;
         req.op = rpc::RpcOp::Close;
-        req.hostFd = f.hostFd;
+        req.hostFd = fd;
         req.gpuId = dev.id();
         req.issueTime = ctx.now();
         req.tenant = f.tenant.load(std::memory_order_relaxed);
         rpc::RpcResponse resp = queue.call(req);
         ctx.waitUntil(resp.done);
+    };
+    for (int fd : f.retiredFds)
+        close_fd(fd);
+    f.retiredFds.clear();
+    if (f.closed && f.hostFd >= 0 && f.cache &&
+        f.cache->dirtyCount() == 0 && f.opInFlight.load() == 0) {
+        close_fd(f.hostFd);
         f.hostFd = -1;
     }
 }
@@ -1164,7 +1140,7 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
             });
         if (st == Status::NoSpace) {
             const uint8_t tenant = f.tenant.load(std::memory_order_relaxed);
-            if (reclaimFrames(ctx, params_.reclaimBatch, tenant) == 0) {
+            if (reclaimFrames(ctx, kReclaimBatch, tenant) == 0) {
                 // A pass that frees nothing is exhaustion only when
                 // nothing can change: another block's reclaim may have
                 // freed every evictable frame between our failed claim
@@ -1211,6 +1187,10 @@ BufferCache::submitClaimedFetch(gpu::BlockCtx &ctx, CacheFile &f,
     gpufs_assert(pf.n >= 1 && pf.n <= rpc::kMaxBatchPages,
                  "fetch batch size out of range");
     const uint64_t page_size = params_.pageSize;
+    // Elevated BEFORE hostFd is read (and so before the request is
+    // visible to the daemon): a racing fd release must never observe
+    // the RPC without the mark.
+    f.fetchInFlight.fetch_add(1);
     rpc::RpcRequest req;
     req.hostFd = f.hostFd;
     req.offset = pf.startIdx * page_size;
@@ -1219,8 +1199,7 @@ BufferCache::submitClaimedFetch(gpu::BlockCtx &ctx, CacheFile &f,
     req.tenant = f.tenant.load(std::memory_order_relaxed);
     req.speculative = pf.spec;
     if (shardedFile(f))
-        shards_->recordHeat(req.tenant, f.ino, pf.startIdx, dev.id(),
-                            pf.n);
+        shards_->recordHeat(f.ino, pf.startIdx, dev.id(), pf.n);
     // Shard-group clipping upstream guarantees one owner per batch, so
     // the whole run routes to that owner (or to the host when self).
     unsigned owner = pageOwner(f, pf.startIdx);
@@ -1247,9 +1226,6 @@ BufferCache::submitClaimedFetch(gpu::BlockCtx &ctx, CacheFile &f,
         for (unsigned i = 0; i < pf.n; ++i)
             req.batch[i] = arena_.data(pf.slots[i].frame);
     }
-    // Elevated BEFORE the request is visible to the daemon: a racing
-    // fd release must never observe the RPC without the mark.
-    f.fetchInFlight.fetch_add(1);
     pf.rpcSlot = blocking ? queue.submit(req) : queue.trySubmit(req);
     if (!pf.rpcSlot) {
         // Queue full: roll the claim back — the pages resolve through
@@ -1326,40 +1302,45 @@ BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
     return Status::Ok;
 }
 
+int
+BufferCache::claimFetchRun(CacheFile &f, uint64_t idx, unsigned max_n,
+                           PendingFetch &pf)
+{
+    if (!hostFetchable(f) || idx > FileCache::maxPageIndex())
+        return -1;
+    max_n = std::min(max_n, rpc::kMaxBatchPages);
+    // One owner per batch: clip the run at its shard-group boundary.
+    max_n = shardRunCap(f, idx, max_n);
+    // Claim reserve: claims are unreclaimable until their collector
+    // runs, so a wave of submitters (or a read-ahead window) must not
+    // eat the arena's last frames — synchronous pins (and other
+    // blocks' resolutions) need reclaimable headroom. No reclaim
+    // attempt either: a reclaim can write back dirty pages through a
+    // BLOCKING RPC, and a split-phase submitter may already hold
+    // uncollected queue slots — the deadlock cycle trySubmit exists to
+    // prevent. An unclaimable page simply resolves synchronously at
+    // wait, where the block holds nothing.
+    uint32_t free_frames = arena_.freeCount();
+    uint32_t reserve = claimReserve();
+    if (free_frames <= reserve)
+        return -1;
+    max_n = std::min(max_n, free_frames - reserve);
+    unsigned n = f.cache->beginInitBatch(idx, max_n, pf.slots);
+    pf.startIdx = idx;
+    pf.n = n;
+    pf.single = false;
+    pf.spec = false;
+    return static_cast<int>(n);
+}
+
 bool
 BufferCache::submitPageFetch(gpu::BlockCtx &ctx, CacheFile &f,
                              uint64_t page_idx, PendingFetch *out)
 {
-    if (!f.cache || f.wronce || f.hostFd < 0 ||
-        page_idx > FileCache::maxPageIndex()) {
-        return false;   // no host-fetch path: resolve pins handle it
-    }
-    // Diff-and-merge pages must snapshot a pristine copy under the
-    // fetching pin (pinPage's slow path does that); a split-phase
-    // publish without one would turn merges into clobbering writes.
-    if (diffMergeActive(f))
-        return false;
-    // Claim reserve: split-phase claims are unreclaimable until their
-    // collector runs, so a wave of submitters must not eat the arena's
-    // last frames — synchronous pins (and other blocks' resolutions)
-    // need reclaimable headroom. Under pressure the page simply
-    // resolves synchronously at wait.
-    if (arena_.freeCount() <= claimReserve())
-        return false;
-    // No reclaim attempt here (the sync miss path's retry loop): a
-    // reclaim can write back dirty pages through a BLOCKING RPC, and
-    // a split-phase submitter may already hold uncollected queue
-    // slots — the deadlock cycle trySubmit exists to prevent. An
-    // unclaimable page simply resolves synchronously at wait, where
-    // the block holds nothing.
-    if (f.cache->beginInitBatch(page_idx, 1, out->slots) == 1) {
-        out->startIdx = page_idx;
-        out->n = 1;
-        out->single = true;
-        out->spec = false;
-        return submitClaimedFetch(ctx, f, *out, /*blocking=*/false);
-    }
-    return false;
+    if (claimFetchRun(f, page_idx, 1, *out) <= 0)
+        return false;   // the caller's pin resolves the page at wait
+    out->single = true;
+    return submitClaimedFetch(ctx, f, *out, /*blocking=*/false);
 }
 
 unsigned
@@ -1367,31 +1348,10 @@ BufferCache::submitBatchFetch(gpu::BlockCtx &ctx, CacheFile &f,
                               uint64_t start_idx, unsigned max_n,
                               PendingFetch *out)
 {
-    if (!f.cache || f.wronce || f.hostFd < 0 ||
-        start_idx > FileCache::maxPageIndex()) {
+    if (claimFetchRun(f, start_idx, max_n, *out) <= 0)
         return 0;
-    }
-    if (diffMergeActive(f))
-        return 0;   // pristine snapshot needed: stay on the sync path
-    max_n = std::min(max_n, rpc::kMaxBatchPages);
-    // One owner per batch: clip the run at its shard-group boundary.
-    max_n = shardRunCap(f, start_idx, max_n);
-    // Claim reserve (see submitPageFetch): shrink the run to what the
-    // arena can give without starving synchronous pins. As there, no
-    // reclaim attempt — submission must never block on an RPC.
-    uint32_t free_frames = arena_.freeCount();
-    uint32_t reserve = claimReserve();
-    if (free_frames <= reserve)
-        return 0;
-    max_n = std::min(max_n, free_frames - reserve);
-    unsigned n = f.cache->beginInitBatch(start_idx, max_n, out->slots);
-    if (n == 0)
-        return 0;
-    out->startIdx = start_idx;
-    out->n = n;
-    out->single = false;
-    out->spec = false;
-    return submitClaimedFetch(ctx, f, *out, /*blocking=*/false) ? n : 0;
+    return submitClaimedFetch(ctx, f, *out, /*blocking=*/false) ? out->n
+                                                                : 0;
 }
 
 ReadAheadStreams::Decision
@@ -1412,7 +1372,7 @@ BufferCache::planReadAhead(CacheFile &f, uint64_t stream_key,
     if (!adaptiveReadAhead())
         return d;       // read-ahead off: window 0
     d = f.ra.onMiss(stream_key, run_first, run_last,
-                    params_.maxReadAheadPages);
+                    kMaxReadAheadPages);
     if (d.ghost)
         cntRaGhostHits.inc();
     if (d.recycled)
@@ -1437,13 +1397,7 @@ BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
     FileCache &c = *f.cache;
     const uint64_t page_size = params_.pageSize;
     const uint64_t fsize = f.size.load(std::memory_order_relaxed);
-    if (fsize == 0 || f.hostFd < 0 || f.wronce || max_fetches == 0)
-        return 0;
-    // Diff-and-merge pages must snapshot their pristine copy under the
-    // fetching pin (pinPage's slow path does that); a batch-published
-    // page has none, and its write-back would clobber other writers'
-    // merges — same exclusion as the split-phase demand paths.
-    if (diffMergeActive(f))
+    if (fsize == 0 || max_fetches == 0 || !hostFetchable(f))
         return 0;
     // One policy decision per demand miss — the requesting block's
     // stream records the miss even when the granted window is 0 (that
@@ -1460,10 +1414,7 @@ BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
     // collect; synchronously it is waited out before the next claim.
     // @return false when the walk must stop (queue full, or a failed
     // synchronous fetch).
-    auto issue = [&](PendingFetch &pf, uint64_t idx, unsigned n) -> bool {
-        pf.startIdx = idx;
-        pf.n = n;
-        pf.single = false;
+    auto issue = [&](PendingFetch &pf) -> bool {
         pf.spec = true;
         pf.specStream = plan.stream;
         if (out) {
@@ -1490,19 +1441,20 @@ BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
             if (sidx < 0)
                 break;      // backward scan reached the file head
             uint64_t idx = static_cast<uint64_t>(sidx);
-            if (idx >= eof_page || idx > FileCache::maxPageIndex())
-                break;
-            if (arena_.freeCount() <= claimReserve())
+            if (idx >= eof_page)
                 break;
             PendingFetch &pf = out ? out[fetches] : sync_fetch;
-            if (c.beginInitBatch(idx, 1, pf.slots) == 0) {
+            int n = claimFetchRun(f, idx, 1, pf);
+            if (n < 0)
+                break;
+            if (n == 0) {
                 if (prefetchStepOver(c, idx)) {
                     covered = idx;
                     continue;
                 }
                 break;
             }
-            if (!issue(pf, idx, 1))
+            if (!issue(pf))
                 break;
             covered = idx;
         }
@@ -1519,22 +1471,14 @@ BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
         FileCache::maxPageIndex() + 1);
     uint64_t idx = run_last + 1;
     while (idx < end && fetches < max_fetches) {
-        unsigned max_n = static_cast<unsigned>(
-            std::min<uint64_t>(end - idx, rpc::kMaxBatchPages));
-        // One owner per batch: clip the run at its shard-group
-        // boundary (the next iteration re-evaluates the next group).
-        max_n = shardRunCap(f, idx, max_n);
-        // Claim reserve (see submitPageFetch): prefetch never takes
-        // the frames synchronous pins would need to reclaim (it must
-        // never page out on its own behalf, and it must not starve
-        // demand pins either).
-        uint32_t free_frames = arena_.freeCount();
-        uint32_t reserve = claimReserve();
-        if (free_frames <= reserve)
-            break;
-        max_n = std::min(max_n, free_frames - reserve);
+        // Each run is clipped to one shard group and the claim reserve
+        // (the next iteration re-evaluates the next group): prefetch
+        // never pages out on its own behalf, nor starves demand pins.
         PendingFetch &pf = out ? out[fetches] : sync_fetch;
-        unsigned n = c.beginInitBatch(idx, max_n, pf.slots);
+        int n = claimFetchRun(f, idx, static_cast<unsigned>(end - idx),
+                              pf);
+        if (n < 0)
+            break;
         if (n == 0) {
             if (prefetchStepOver(c, idx)) {
                 ++idx;
@@ -1542,7 +1486,7 @@ BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
             }
             break;
         }
-        if (!issue(pf, idx, n))
+        if (!issue(pf))
             break;
         idx += n;
     }

@@ -181,6 +181,11 @@ struct CacheFile {
      *  nonzero count like dirty data: keep the fd, keep the cache. */
     std::atomic<uint32_t> opInFlight{0};
 
+    /** Host fds a reopen replaced while an RPC that read one before
+     *  the swap could still be in flight. Each is closed once
+     *  fetchInFlight and wbInFlight are both 0 (maybeReleaseFds, at
+     *  the end of a reclaim pass), or with the entry. Paging lock. */
+    std::vector<int> retiredFds;
 };
 
 /**
@@ -319,7 +324,9 @@ class BufferCache
      * Reopen a parked file: install the fresh host fd and clear the
      * closed mark, atomically with respect to reclamation. @return the
      * fd the entry had kept for dirty pages (-1 if none), which the
-     * caller releases once the new claim is established.
+     * caller releases once the new claim is established; -1 too when
+     * a fetch or write-back may still carry that fd, which then joins
+     * f.retiredFds instead.
      */
     int reopenFile(CacheFile &f, int new_host_fd);
 
@@ -382,13 +389,12 @@ class BufferCache
 
     /**
      * Claim the single missing page @p page_idx and submit its
-     * ReadPage RPC without waiting (the demand twin of read-ahead's
-     * batches, kept per-page so the sync wrappers preserve the paper's
-     * demand-paging RPC pattern). On arena exhaustion runs one
-     * reclaim pass and retries once. @return true iff a fetch is now
-     * pending in *out; false when the page is resident, in flight,
-     * contended, or unallocatable (the caller resolves it with a
-     * normal pinPage at wait time).
+     * ReadPage RPC without waiting: a one-page submitBatchFetch marked
+     * single, so the sync wrappers keep the paper's demand-paging RPC
+     * pattern. @return true iff a fetch is now pending in *out; false
+     * when the page is resident, in flight, contended, or not
+     * claimable (the caller resolves it with a normal pinPage at wait
+     * time).
      */
     bool submitPageFetch(gpu::BlockCtx &ctx, CacheFile &f,
                          uint64_t page_idx, PendingFetch *out);
@@ -470,9 +476,10 @@ class BufferCache
     unsigned reclaimFrames(gpu::BlockCtx &ctx, unsigned want,
                            uint8_t tenant = kAnyTenant);
 
-    /** Release a closed file's host fd (and with it the host-side
-     *  consistency claim) once its cache holds no dirty data. */
-    void maybeReleaseClosedFd(gpu::BlockCtx &ctx, CacheFile &f);
+    /** Close @p f's retired fds once no fetch or write-back is in
+     *  flight, and a closed file's host fd (and with it the host-side
+     *  consistency claim) once its cache also holds no dirty data. */
+    void maybeReleaseFds(gpu::BlockCtx &ctx, CacheFile &f);
 
     // ---- sharded multi-GPU cache ----
 
@@ -508,6 +515,19 @@ class BufferCache
     {
         return params_.enableDiffMerge && f.write && !f.wronce &&
             !f.noSync;
+    }
+
+    /** True when @p f's pages may be fetched from the host into
+     *  claimed frames: a cache and a host fd, not write-once (its pages
+     *  are zero-pristine, never fetched) and not diff-and-merge (its
+     *  pages need the pristine snapshot pinPage's slow path takes under
+     *  the fetching pin; a batch-published page has none, and its
+     *  write-back would clobber other writers' merges). */
+    bool
+    hostFetchable(const CacheFile &f) const
+    {
+        return f.cache && f.hostFd >= 0 && !f.wronce &&
+            !diffMergeActive(f);
     }
 
     /** True when @p f participates in sharding: an active map and a
@@ -585,14 +605,14 @@ class BufferCache
     /** Frames split-phase submission (and read-ahead) must leave free
      *  or reclaimable for synchronous pins: claims are unreclaimable
      *  until collected, so a claim storm must not exhaust the arena.
-     *  Scales down for small arenas where reclaimBatch would forbid
+     *  Scales down for small arenas where kReclaimBatch would forbid
      *  claiming at all. Public: benches/tests assert the speculative
      *  occupancy cap against it. */
     uint32_t
     claimReserve() const
     {
         return std::max<uint32_t>(
-            1, std::min<uint32_t>(params_.reclaimBatch,
+            1, std::min<uint32_t>(kReclaimBatch,
                                   arena_.numFrames() / 4));
     }
 
@@ -711,6 +731,19 @@ class BufferCache
     }
 
     /**
+     * The one fetch-run claim every fetch submitter (split-phase
+     * demand pages and runs, both read-ahead walks) runs: claims up to
+     * @p max_n contiguous missing pages from @p idx into @p pf, clipped
+     * to rpc::kMaxBatchPages, to one shard group and to what the arena
+     * can give above claimReserve(). @return pages claimed; 0 when the
+     * run's head is resident, in flight or contended; -1 when nothing
+     * can be claimed at all (no host-fetch path, @p idx past the radix
+     * capacity, or the claim reserve reached).
+     */
+    int claimFetchRun(CacheFile &f, uint64_t idx, unsigned max_n,
+                      PendingFetch &pf);
+
+    /**
      * The read-ahead window walk for a demand miss on pages
      * [run_first, run_last] (policy-decided window, see planReadAhead):
      * claims runs of missing pages — contiguous runs clipped to one
@@ -778,7 +811,7 @@ class BufferCache
                              uint64_t first_page, uint64_t last_page,
                              unsigned *pages_out, uint64_t max_pages);
 
-    void maybeReleaseClosedFdLocked(gpu::BlockCtx &ctx, CacheFile &f);
+    void maybeReleaseFdsLocked(gpu::BlockCtx &ctx, CacheFile &f);
 };
 
 } // namespace core

@@ -123,6 +123,9 @@ GpuFs::destroyEntryLocked(gpu::BlockCtx &ctx, OpenFile &entry)
         closeHostFd(ctx, entry.cf.hostFd);
         entry.cf.hostFd = -1;
     }
+    for (int fd : entry.cf.retiredFds)
+        closeHostFd(ctx, fd);
+    entry.cf.retiredFds.clear();
     entry.resetEntry();
 }
 
@@ -839,10 +842,11 @@ GpuFs::resolveWrite(gpu::BlockCtx &ctx, AsyncIoOp &op)
 int64_t
 GpuFs::resolveFsync(gpu::BlockCtx &ctx, AsyncIoOp &op)
 {
-    OpenFile *e = op.entry;
-    if (e->nosync())
+    // The cache-layer flag, not the entry's: after a wait-after-close,
+    // another block's reopen may be rewriting the entry's flags.
+    CacheFile &cf = op.entry->cf;
+    if (cf.noSync)
         return 0;       // never synchronized to the host (§3.2)
-    CacheFile &cf = e->cf;
     ctx.waitUntil(op.flushDone);
     if (!ok(op.flushStatus))
         return -static_cast<int64_t>(op.flushStatus);
@@ -872,9 +876,13 @@ GpuFs::resolveFsync(gpu::BlockCtx &ctx, AsyncIoOp &op)
          cf.needsFsync.exchange(false, std::memory_order_acq_rel))) {
         rpc::RpcRequest req;
         req.op = rpc::RpcOp::Fsync;
+        // Read the fd under the write-back mark: after a close, another
+        // block's reopen retires it, and must not close it under us.
+        cf.wbInFlight.fetch_add(1);
         req.hostFd = cf.hostFd;
         req.durableBarrier = durable;
         rpc::RpcResponse resp = rpcCall(ctx, req);
+        cf.wbInFlight.fetch_sub(1);
         if (!ok(resp.status)) {
             if (!durable)
                 cf.needsFsync.store(true, std::memory_order_release);
@@ -1199,7 +1207,7 @@ GpuFs::backgroundFlushPass(Time start_time)
         // release its host fd (and host-side write claim) now instead
         // of waiting for the next reclaim pass.
         if (e.state == OpenFile::EState::Closed)
-            bc_.maybeReleaseClosedFd(ctx, e.cf);
+            bc_.maybeReleaseFds(ctx, e.cf);
     }
     if (drained_any)
         cntFlusherDrains.inc();

@@ -29,16 +29,14 @@ constexpr unsigned kMaxTenants = 4;
  *
  * PaperTiered is §4.2's constant-work order: closed clean files first
  * (no GPU-CPU communication), then open read-only files, then writable
- * files as a last resort. GlobalLru and Random are ablation policies
- * wired into bench/ablate_eviction: LRU scans every frame for the
- * globally oldest access stamp (the variable-work shape the paper
- * rejects because paging hijacks application threads), Random picks
- * victim files uniformly.
+ * files as a last resort. GlobalLru is the ablation policy wired into
+ * bench/ablate_eviction: it scans every frame for the globally oldest
+ * access stamp (the variable-work shape the paper rejects because
+ * paging hijacks application threads).
  */
 enum class EvictionPolicyKind : uint8_t {
     PaperTiered,
     GlobalLru,
-    Random,
     /** 2Q-style: frames pinned once (probationary — a scan touches a
      *  page exactly once) are evicted before frames pinned repeatedly
      *  (protected), each set in global LRU order. Same full-scan work
@@ -47,6 +45,9 @@ enum class EvictionPolicyKind : uint8_t {
      *  pages re-miss cheaply. */
     TwoQ,
 };
+
+/** Frames reclaimed per paging pass (batching amortizes policy work). */
+constexpr unsigned kReclaimBatch = 16;
 
 /**
  * Multi-GPU cache-sharding policies (core::ShardMap variants).
@@ -67,7 +68,7 @@ enum class EvictionPolicyKind : uint8_t {
  * every miss (0 = off, the prototype's behavior). Adaptive scales the
  * window per file from the observed access pattern: a per-CacheFile
  * tracker (readahead.hh) ramps the window multiplicatively on
- * confirmed sequential (or small-stride) runs up to maxReadAheadPages,
+ * confirmed sequential (or small-stride) runs up to kMaxReadAheadPages,
  * collapses it to zero on random access, and throttles files whose
  * prefetched pages keep getting evicted unused (with ghost-hit
  * detection so a wrongly-throttled window re-grows). Sequential scans
@@ -79,6 +80,9 @@ enum class ReadAheadPolicy : uint8_t {
     Static,
     Adaptive,
 };
+
+/** Ceiling of the Adaptive ramp, pages (2 ReadPages batches). */
+constexpr unsigned kMaxReadAheadPages = 32;
 
 enum class ShardPolicy : uint8_t {
     /** Paper baseline: every GPU caches privately, no peer traffic.
@@ -129,12 +133,9 @@ struct GpuFsParams {
 
     /** Window policy when readAheadPages is 0 (see ReadAheadPolicy).
      *  Adaptive is the default: off for random access, ramping to
-     *  maxReadAheadPages on confirmed sequential runs. Static + 0
+     *  kMaxReadAheadPages on confirmed sequential runs. Static + 0
      *  disables read-ahead entirely (the seed behavior). */
     ReadAheadPolicy readAheadPolicy = ReadAheadPolicy::Adaptive;
-
-    /** Ceiling of the Adaptive ramp, pages (2 ReadPages batches). */
-    unsigned maxReadAheadPages = 32;
 
     /**
      * Extension (off by default): the diff-and-merge protocol of §3.1
@@ -149,9 +150,6 @@ struct GpuFsParams {
      * admits concurrent diff-merge writers.
      */
     bool enableDiffMerge = false;
-
-    /** Frames reclaimed per paging pass (batching amortizes policy work). */
-    unsigned reclaimBatch = 16;
 
     /**
      * Async write-back daemon (§3.3: dirty pages are "written back ...

@@ -13,7 +13,7 @@
  *  - a last-offset / run-length sequential detector with stride
  *    recognition (any stride in [-8, 8] except 0, page units) feeds
  *    a window that ramps multiplicatively on confirmed runs (2, 4,
- *    8, ... up to GpuFsParams::maxReadAheadPages) and collapses to
+ *    8, ... up to kMaxReadAheadPages, params.hh) and collapses to
  *    zero the moment the pattern breaks;
  *  - prefetch-feedback accounting closes the loop: every page a
  *    read-ahead batch publishes is tagged speculative
@@ -93,7 +93,7 @@ class ReadAheadTracker
      * Record a demand miss covering pages [first_idx, last_idx] (a
      * single page for the per-page path, the whole run for vectored
      * demand batches) and decide the prefetch window to issue from
-     * @p last_idx. @p max_window is GpuFsParams::maxReadAheadPages.
+     * @p last_idx. @p max_window is kMaxReadAheadPages.
      */
     Decision
     onMiss(uint64_t first_idx, uint64_t last_idx, unsigned max_window)

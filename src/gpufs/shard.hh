@@ -14,8 +14,7 @@
  * whole file (FileAffinity), so batched fetches clipped at group
  * boundaries always have a single owner.
  *
- * Serving tier: the map additionally accumulates per-(tenant, group)
- * read heat (recordHeat, called on the fetch paths) and can migrate a
+ * Serving tier: the map additionally accumulates per-group read heat (recordHeat, called on the fetch paths) and can migrate a
  * hot group toward its heaviest reader (rebalance). Overrides are
  * stored in a small map consulted before the hash; ownerOf stays
  * lock-free until the first migration exists (hasOverrides_ gate), so
@@ -54,7 +53,6 @@ class ShardMap
 
     ShardPolicy policy() const { return policy_; }
     unsigned numGpus() const { return numGpus_; }
-    unsigned pagesPerGroup() const { return pagesPerGroup_; }
 
     /** True when lookups can name a non-self owner: sharding is
      *  meaningless for one GPU, and Private is the ablation baseline. */
@@ -83,15 +81,15 @@ class ShardMap
     }
 
     /**
-     * Record @p pages of read heat on (tenant, group of @p page_idx)
-     * from @p reader_gpu. Called on the miss-fetch paths (demand and
+     * Record @p pages of read heat on the group of @p page_idx from
+     * @p reader_gpu. Called on the miss-fetch paths (demand and
      * batch), so heat measures real traffic, not cache hits. Const
      * with mutable state: BufferCache holds the map const, but heat is
      * bookkeeping, not ownership semantics.
      */
     void
-    recordHeat(uint8_t tenant, uint64_t ino, uint64_t page_idx,
-               unsigned reader_gpu, unsigned pages) const
+    recordHeat(uint64_t ino, uint64_t page_idx, unsigned reader_gpu,
+               unsigned pages) const
     {
         if (!active())
             return;
@@ -100,7 +98,6 @@ class ShardMap
         HeatEntry &h = heat_[key];
         if (reader_gpu < kMaxHeatGpus)
             h.byGpu[reader_gpu] += pages;
-        h.byTenant[tenant % kMaxTenants] += pages;
         h.total += pages;
     }
 
@@ -151,18 +148,6 @@ class ShardMap
         return overrides_.size();
     }
 
-    /** Total read heat accumulated by @p tenant since the last
-     *  rebalance window (serving-tier reports and tests). */
-    uint64_t
-    tenantHeat(uint8_t tenant) const
-    {
-        std::lock_guard<std::mutex> lock(heatMtx_);
-        uint64_t sum = 0;
-        for (const auto &kv : heat_)
-            sum += kv.second.byTenant[tenant % kMaxTenants];
-        return sum;
-    }
-
     /**
      * First page index past the ownership group containing
      * @p page_idx: batched fetches clip their runs here so one batch
@@ -184,7 +169,6 @@ class ShardMap
 
     struct HeatEntry {
         uint64_t byGpu[kMaxHeatGpus] = {};
-        uint64_t byTenant[kMaxTenants] = {};
         uint64_t total = 0;
     };
 

@@ -1,7 +1,6 @@
 #include "rpc/daemon.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -57,13 +56,6 @@ CpuDaemon::setTenantWeights(const unsigned *weights, unsigned n)
 }
 
 void
-CpuDaemon::setSweepLinger(Time deadline)
-{
-    gpufs_assert(!running.load(), "setSweepLinger after start");
-    linger_ = deadline;
-}
-
-void
 CpuDaemon::setStorageBackend(storage::BackendKind kind)
 {
     gpufs_assert(!running.load(), "setStorageBackend after start");
@@ -86,12 +78,6 @@ namespace {
  *  crashed — a dead backing store is not transient. */
 constexpr unsigned kMaxIoRetries = 3;
 constexpr Time kIoRetryBackoff = 20000;  // 20us, doubling per attempt
-
-/** Aggregation linger's wall-clock safety bound: ~200ms of 50us naps
- *  waiting for a census-visible straggler to publish. Generous — a
- *  mid-fill block publishes in microseconds — but finite, so a block
- *  that claimed a slot and stalled can never wedge parked requests. */
-constexpr unsigned kLingerMaxSpins = 4000;
 
 template <typename Fn>
 hostfs::IoResult
@@ -459,30 +445,6 @@ CpuDaemon::loop()
                 serviceSweep(i, batch, n);
                 any = true;
             }
-            // Aggregation linger: a sweep parked an under-filled
-            // ReadPages group because the occupancy census showed more
-            // of the burst still arriving. Hold here while that
-            // evidence persists (bounded spin — a block mid-fill
-            // publishes in microseconds), merge the stragglers when
-            // they land, and flush the parked slots solo once the
-            // census empties or the bound expires.
-            unsigned spins = 0;
-            while (!ports[i]->parked.empty()) {
-                any = true;
-                if ((n = ports[i]->queue->pollAll(batch, kQueueSlots))
-                    > 0) {
-                    serviceSweep(i, batch, n);
-                    continue;
-                }
-                if (ports[i]->queue->occupiedHint() == 0 ||
-                    ++spins > kLingerMaxSpins ||
-                    !running.load(std::memory_order_acquire)) {
-                    serviceSweep(i, nullptr, 0);
-                    break;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(50));
-            }
         }
         if (!any) {
             // Nothing ready: park on the doorbell (simulated poll).
@@ -492,13 +454,8 @@ CpuDaemon::loop()
             seen = doorbell.load(std::memory_order_acquire);
         }
     }
-    // Drain: flush anything still parked (belt and braces — the
-    // linger spin flushes on the running edge), then fail requests
-    // that raced with shutdown so no GPU block waits forever.
-    for (unsigned i = 0; i < ports.size(); ++i) {
-        if (!ports[i]->parked.empty())
-            serviceSweep(i, nullptr, 0);
-    }
+    // Drain: fail requests that raced with shutdown so no GPU block
+    // waits forever.
     for (auto &port : ports) {
         RpcSlot *slot;
         while ((slot = port->queue->poll()) != nullptr) {
@@ -511,21 +468,9 @@ CpuDaemon::loop()
 }
 
 void
-CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
+CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **all, unsigned total)
 {
     GpuPort &port = *ports[port_idx];
-    // Merge slots the aggregation linger parked last sweep ahead of
-    // this sweep's claims; a merged slot is never parked twice.
-    RpcSlot *all[2 * kQueueSlots];
-    const bool had_parked = !port.parked.empty();
-    unsigned total = 0;
-    for (RpcSlot *s : port.parked)
-        all[total++] = s;
-    port.parked.clear();
-    for (unsigned i = 0; i < n; ++i)
-        all[total++] = batch[i];
-    if (total == 0)
-        return;
     std::sort(all, all + total,
               [](const RpcSlot *a, const RpcSlot *b) {
                   return a->req.issueTime < b->req.issueTime;
@@ -544,11 +489,11 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
     // on the SAME file (a shared scan) — gather each same-file set
     // into one host read instead of k. Groups are serviced at their
     // first member's place in the emission order.
-    bool taken[2 * kQueueSlots] = {};
+    bool taken[kQueueSlots] = {};
     for (unsigned s = 0; s < total; ++s) {
         if (taken[s])
             continue;
-        RpcSlot *group[2 * kQueueSlots];
+        RpcSlot *group[kQueueSlots];
         unsigned k = 0;
         group[k++] = all[s];
         const RpcRequest &req = all[s]->req;
@@ -568,16 +513,6 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
                 group[k++] = all[t];
                 taken[t] = true;
             }
-        }
-        if (groupable && k == 1 && linger_ != 0 && !had_parked &&
-            port.queue->occupiedHint() > 0) {
-            // Under-filled group with the burst visibly still arriving
-            // (slots Filling/Ready in the census): park it for one
-            // extra sweep instead of issuing a lone host read — the
-            // loop's linger spin merges it with the stragglers, or
-            // flushes it solo at the (virtual-deadline-sized) bound.
-            port.parked.push_back(all[s]);
-            continue;
         }
         // Count before servicing: a completed slot belongs to its
         // submitter again and may already carry a new request.

@@ -179,7 +179,7 @@ TEST_F(EvictionTest, AllPoliciesReclaimUnderExhaustionWithoutLosingDirtyBytes)
     const EvictionPolicyKind kinds[] = {
         EvictionPolicyKind::PaperTiered,
         EvictionPolicyKind::GlobalLru,
-        EvictionPolicyKind::Random,
+        EvictionPolicyKind::TwoQ,
     };
     int file_no = 0;
     for (EvictionPolicyKind kind : kinds) {
@@ -217,7 +217,7 @@ TEST_F(EvictionTest, PinnedPagesSurviveEveryPolicy)
     const EvictionPolicyKind kinds[] = {
         EvictionPolicyKind::PaperTiered,
         EvictionPolicyKind::GlobalLru,
-        EvictionPolicyKind::Random,
+        EvictionPolicyKind::TwoQ,
     };
     int file_no = 0;
     for (EvictionPolicyKind kind : kinds) {

@@ -20,7 +20,7 @@ namespace gpufs {
 namespace core {
 namespace {
 
-constexpr unsigned kMaxWin = 32;    // GpuFsParams::maxReadAheadPages
+constexpr unsigned kMaxWin = kMaxReadAheadPages;
 
 // ---------------------------------------------------------------------
 // Tracker state machine (pure unit tests).

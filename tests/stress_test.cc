@@ -351,6 +351,89 @@ TEST_F(StressTest, AsyncMixedOpsUnderPagingKeepDataIntact)
     }
 }
 
+TEST_F(StressTest, ReopenKeepsRetiredFdUntilInFlightRpcsLand)
+{
+    // A block that closes a file with a token outstanding still has
+    // fetches (refetches of pages evicted before its wait) and
+    // write-backs (its gfsync's drain and host fsync) to issue through
+    // the parked entry's host fd. Another block's gopen reopens the
+    // entry with a fresh fd meanwhile; the old fd must stay open until
+    // no RPC that read it can still be in flight, or that RPC fails
+    // with BadFd (or, once the host reuses the number, hits another
+    // file).
+    GpuFsParams p;
+    p.pageSize = 16 * KiB;
+    p.cacheBytes = 256 * KiB;       // 16 frames: waits refetch
+    sys = std::make_unique<GpufsSystem>(1, p);
+    constexpr uint64_t kFileSize = 1 * MiB;
+    constexpr unsigned kReaders = 4, kWriters = 2, kReopeners = 2;
+    constexpr int kIters = 400;
+    test::addRamp(sys->hostFs(), "/rin", kFileSize);
+    test::addBytes(sys->hostFs(), "/rout",
+                   std::vector<uint8_t>(kFileSize, 0));
+
+    std::atomic<uint64_t> errors{0};
+    gpu::launch(sys->device(0), kReaders + kWriters + kReopeners, 64,
+                [&](gpu::BlockCtx &ctx) {
+        GpuFs &fs = sys->fs();
+        const unsigned b = ctx.blockId();
+        std::vector<uint8_t> buf(1 * KiB);
+        for (int iter = 0; iter < kIters; ++iter) {
+            if (b >= kReaders + kWriters) {
+                // Reopener: every gopen of a parked entry swaps its fd.
+                for (bool w : {false, true}) {
+                    int fd = fs.gopen(ctx, w ? "/rout" : "/rin",
+                                      w ? G_RDWR : G_RDONLY);
+                    if (fd < 0) {
+                        errors.fetch_add(1);
+                        continue;
+                    }
+                    fs.gclose(ctx, fd);
+                }
+                continue;
+            }
+            const bool writer = b >= kReaders;
+            int fd = fs.gopen(ctx, writer ? "/rout" : "/rin",
+                              writer ? G_RDWR : G_RDONLY);
+            if (fd < 0) {
+                errors.fetch_add(1);
+                continue;
+            }
+            uint64_t off = ctx.rng().nextBelow(kFileSize - buf.size());
+            if (writer) {
+                // A partial-page write into this block's own stripe:
+                // its wait refetches the page (read-modify-write),
+                // and the gfsync drains it and fsyncs the host file.
+                off = (off / (2 * 16 * KiB)) * (2 * 16 * KiB) +
+                      (b - kReaders) * 16 * KiB + 100;
+                std::memset(buf.data(), uint8_t(b * 31 + iter),
+                            buf.size());
+                IoToken tw = fs.gwrite_async(ctx, fd, off, buf.size(),
+                                             buf.data());
+                IoToken ts = fs.gfsync_async(ctx, fd);
+                fs.gclose(ctx, fd);
+                if (fs.gwait(ctx, tw) != int64_t(buf.size()))
+                    errors.fetch_add(1);
+                if (!ok(gstatus_of(fs.gwait(ctx, ts))))
+                    errors.fetch_add(1);
+            } else {
+                IoToken tr = fs.gread_async(ctx, fd, off, buf.size(),
+                                            buf.data());
+                fs.gclose(ctx, fd);
+                if (fs.gwait(ctx, tr) != int64_t(buf.size())) {
+                    errors.fetch_add(1);
+                } else {
+                    for (size_t i = 0; i < buf.size(); i += 97) {
+                        if (buf[i] != test::rampByte(off + i))
+                            errors.fetch_add(1);
+                    }
+                }
+            }
+        }
+    });
+    EXPECT_EQ(0u, errors.load());
+}
+
 TEST_F(StressTest, AdaptiveReadAheadThreadedMixedPhases)
 {
     // Adaptive read-ahead (the default policy) under real threading:
